@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -180,13 +181,11 @@ def validate(args) -> tuple[dict, list[str]]:
         if squeezing is not None:
             problems.append("squeezing incompatible with fock sources")
         squeezing = None
-    elif mode in ("sample-exact", "sample-approx", "diagnose-bounds"):
-        if squeezing is None:
+    elif squeezing is None:
+        if mode in ("sample-exact", "sample-approx", "diagnose-bounds"):
             problems.append(f"--squeezing is required for {mode}")
-        elif squeezing < 0:
-            problems.append("--squeezing must be >= 0")
-    elif squeezing is not None and squeezing < 0:
-        problems.append("--squeezing must be >= 0")
+    elif not (0.0 <= squeezing < math.inf):
+        problems.append("--squeezing must be finite and >= 0")
 
     detector = args.detector or "pnr"
     if detector == "threshold" and source_type != "squeezed":
@@ -288,25 +287,15 @@ def _run_sampling(config: dict) -> str:
     circuit = sample_random_circuit(
         lattice, config["depth"], np.random.default_rng([config["seed"]])
     )
-    mode = config["mode"]
+    mode, r = config["mode"], config["squeezing"]
+    if mode != "sample-fock":
+        policy = truncation_threshold(config["n_sources"], r, config["epsilon"])
     if mode == "sample-exact":
-        policy = truncation_threshold(
-            config["n_sources"], config["squeezing"], config["epsilon"]
-        )
-        engine = ChainRuleEngine(
-            quad_to_complex(state_covariance(circuit, lattice, config["squeezing"])),
-            policy,
-        )
-        draw = engine.sample
+        sigma = quad_to_complex(state_covariance(circuit, lattice, r))
+        draw = ChainRuleEngine(sigma, policy).sample
         sampler_name = "exact"
     elif mode == "sample-approx":
-        policy = truncation_threshold(
-            config["n_sources"], config["squeezing"], config["epsilon"]
-        )
-        block_sampler = BlockApproxSampler(
-            circuit, lattice, config["squeezing"], policy
-        )
-        draw = block_sampler.sample
+        draw = BlockApproxSampler(circuit, lattice, r, policy).sample
         sampler_name = "approx"
     else:
         unitary = accumulate_unitary(circuit)
@@ -462,7 +451,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         _emit_error("size-cap", str(exc))
         return EXIT_SIZE_CAP
-    except (ConditioningError, SamplingError) as exc:
+    except (ConditioningError, SamplingError, OverflowError) as exc:
         _emit_error("numerical", str(exc))
         return EXIT_NUMERICAL
     except ValueError as exc:

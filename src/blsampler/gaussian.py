@@ -13,6 +13,11 @@ state is pure and ``A = B (+) conj(B)`` with the low-rank
 ``B = K tanh(r) K^T``; note ``K`` here is the mode transfer matrix in the
 creation-operator convention, the elementwise conjugate of
 :func:`~blsampler.lattice.accumulate_unitary`'s output.
+
+Everything here that depends on the circuit is derived from its N source
+columns, :func:`~blsampler.lattice.source_columns`: the output covariance
+is ``I/2`` plus one rank-2 update per source, and the block approximation
+applies the same update to each block's rows of its own source column.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .lattice import Circuit, LatticeSpec, accumulate_unitary
+from .lattice import Circuit, LatticeSpec, source_columns
 
 __all__ = [
     "QuadCovariance",
@@ -33,8 +38,6 @@ __all__ = [
     "BlockApproxCovariance",
     "symplectic_form",
     "input_covariance",
-    "beam_splitter_symplectic",
-    "circuit_symplectic",
     "state_covariance",
     "quad_to_complex",
     "complex_to_quad",
@@ -119,6 +122,7 @@ class BlockApproxCovariance:
 
     lattice: LatticeSpec
     blocks: tuple[QuadCovariance, ...]
+    columns: np.ndarray  # source columns U[:, sources] the blocks derive from
 
     def assemble(self) -> QuadCovariance:
         """Full 2Mx2M block-diagonal matrix (vacuum off the blocks)."""
@@ -159,47 +163,30 @@ def input_covariance(lattice: LatticeSpec, squeezing: float) -> QuadCovariance:
     return QuadCovariance(np.diag(diag))
 
 
-def beam_splitter_symplectic(theta: float, phi: float) -> np.ndarray:
-    """4x4 quadrature representation of the beam-splitter gate.
+def _squeezed_covariance(columns: np.ndarray, squeezing: float) -> np.ndarray:
+    """``I/2 + sum_s (e^{2r}-1)/2 u u^T + (e^{-2r}-1)/2 w w^T`` over columns.
 
-    Equals the elementwise realification of the 2x2 mode unitary: each
-    complex entry ``u`` becomes ``[[Re u, -Im u], [Im u, Re u]]``.  At
-    ``phi = 0`` this reduces to ``[[cos, sin], [-sin, cos]] (x) I_2``.
+    ``u`` and ``w`` realify ``U[:, s]`` and ``i U[:, s]``, the images of
+    the source's ``x`` and ``p``; a row subset gives that reduced state.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    out = np.zeros((4, 4))
-    out[0:2, 0:2] = [[c, 0.0], [0.0, c]]
-    out[0:2, 2:4] = [[s * cp, -s * sp], [s * sp, s * cp]]
-    out[2:4, 0:2] = [[-s * cp, -s * sp], [s * sp, -s * cp]]
-    out[2:4, 2:4] = [[c, 0.0], [0.0, c]]
-    return out
-
-
-def circuit_symplectic(circuit: Circuit) -> np.ndarray:
-    """Quadrature symplectic of the whole circuit (first layer first).
-
-    The output covariance of input ``V`` is ``S V S^T``.
-    """
-    circuit.validate()
-    m = circuit.n_modes
-    s_tot = np.eye(2 * m)
-    for layer in circuit.layers:
-        for gate in layer:
-            i, j = gate.modes
-            blk = beam_splitter_symplectic(gate.theta, gate.phi)
-            rows = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
-            s_tot[rows] = blk @ s_tot[rows]
-    return s_tot
+    x = np.empty((2 * columns.shape[0], columns.shape[1]))
+    x[0::2], x[1::2] = columns.real, columns.imag
+    p = np.empty_like(x)
+    p[0::2], p[1::2] = -columns.imag, columns.real
+    # Python's float ** raises OverflowError once e^{2r} leaves the double
+    # range, where expm1(2r) would return inf for r above ~9e307.
+    gx = (math.exp(squeezing) ** 2 - 1.0) / 2.0
+    gp = math.expm1(-2.0 * squeezing) / 2.0
+    return np.eye(x.shape[0]) / 2.0 + gx * (x @ x.T) + gp * (p @ p.T)
 
 
 def state_covariance(
     circuit: Circuit, lattice: LatticeSpec, squeezing: float
 ) -> QuadCovariance:
     """Output covariance of the circuit on the squeezed-source input."""
-    s = circuit_symplectic(circuit)
-    v_in = input_covariance(lattice, squeezing).matrix
-    return QuadCovariance(s @ v_in @ s.T)
+    if squeezing < 0:
+        raise ValueError(f"squeezing must be >= 0, got {squeezing}")
+    return QuadCovariance(_squeezed_covariance(source_columns(circuit), squeezing))
 
 
 _T_CACHE: dict[int, np.ndarray] = {}
@@ -282,9 +269,11 @@ def b_matrix(transfer: np.ndarray, r_vector: np.ndarray) -> AMatrix:
     transfer : ndarray
         Mode transfer matrix ``K`` in the creation-operator convention;
         for a circuit built here that is
-        ``conj(accumulate_unitary(circuit))``.
+        ``conj(accumulate_unitary(circuit))``, or only its squeezed
+        columns, ``conj(source_columns(circuit))``.
     r_vector : ndarray
-        Per-mode squeezing parameters (zeros for non-sources).
+        Squeezing parameter of each column of ``transfer`` (zeros for
+        vacuum inputs).
 
     Returns
     -------
@@ -308,9 +297,7 @@ def b_matrix(transfer: np.ndarray, r_vector: np.ndarray) -> AMatrix:
 
 def circuit_pure_a(circuit: Circuit, lattice: LatticeSpec, squeezing: float) -> AMatrix:
     """Pure-state ``A`` of the circuit acting on the squeezed sources."""
-    r_vector = np.zeros(lattice.n_modes)
-    r_vector[list(lattice.sources)] = squeezing
-    return b_matrix(accumulate_unitary(circuit).conj(), r_vector)
+    return b_matrix(source_columns(circuit).conj(), np.full(lattice.n_sources, squeezing))
 
 
 def block_approx_covariance(
@@ -320,21 +307,16 @@ def block_approx_covariance(
 
     For each sublattice the circuit is (implicitly) run with only that
     block's source squeezed and the resulting covariance is restricted to
-    the block.  Implemented as a rank-2 update of vacuum: with ``u, w``
-    the symplectic columns at the source's ``x`` and ``p`` rows,
-    ``V_alpha = I/2 + (e^{2r}-1)/2 u u^T + (e^{-2r}-1)/2 w w^T``.
+    the block: ``V_alpha = I/2`` plus the rank-2 update of the block's
+    rows of its own source column, as in the full state.  The
+    source columns are kept on the result for samplers to reuse.
     """
-    s = circuit_symplectic(circuit)
-    cx = (math.exp(2 * squeezing) - 1.0) / 2.0
-    cp = (math.exp(-2 * squeezing) - 1.0) / 2.0
-    blocks = []
-    for modes, src in zip(lattice.sublattices, lattice.sources):
-        qidx = _quad_indices(modes)
-        u = s[qidx, 2 * src]
-        w = s[qidx, 2 * src + 1]
-        v = np.eye(len(qidx)) / 2.0 + cx * np.outer(u, u) + cp * np.outer(w, w)
-        blocks.append(QuadCovariance(v))
-    return BlockApproxCovariance(lattice=lattice, blocks=tuple(blocks))
+    columns = source_columns(circuit)
+    blocks = tuple(
+        QuadCovariance(_squeezed_covariance(columns[list(modes), b : b + 1], squeezing))
+        for b, modes in enumerate(lattice.sublattices)
+    )
+    return BlockApproxCovariance(lattice=lattice, blocks=blocks, columns=columns)
 
 
 def purity_defect(cov: QuadCovariance) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "sample_random_circuit",
     "beam_splitter_unitary",
     "accumulate_unitary",
+    "source_columns",
     "circuit_to_json",
     "circuit_from_json",
 ]
@@ -253,9 +254,21 @@ def accumulate_unitary(circuit: Circuit) -> np.ndarray:
     over output sites.  With open boundaries in 1d, ``U[j, s] == 0``
     exactly whenever ``|j - s| > depth``.
     """
+    return _apply_gates(circuit, np.eye(circuit.n_modes, dtype=complex))
+
+
+def source_columns(circuit: Circuit) -> np.ndarray:
+    """``U[:, sources]``, shape ``M x N``: where each source's light goes.
+
+    Same gate loop as :func:`accumulate_unitary`, at ``O(N * gates)``.
+    """
+    eye = np.eye(circuit.n_modes, dtype=complex)
+    return _apply_gates(circuit, eye[:, list(circuit.lattice.sources)])
+
+
+def _apply_gates(circuit: Circuit, u: np.ndarray) -> np.ndarray:
+    """Left-multiply ``u`` (in place) by every gate of the circuit in order."""
     circuit.validate()
-    m = circuit.n_modes
-    u = np.eye(m, dtype=complex)
     for layer in circuit.layers:
         for gate in layer:
             i, j = gate.modes

@@ -2,26 +2,30 @@
 
 Three samplers live here:
 
-* :class:`ChainRuleEngine` / :func:`gbs_exact_sample` — exact
-  photon-number sampling of an arbitrary zero-mean Gaussian state by the
-  chain rule: mode k is drawn from ``P(n_k | n_1..n_{k-1}) =
-  P(n_1..n_k) / P(n_1..n_{k-1})``, with every prefix probability given by
-  the hafnian formula ``P(n) = Haf(A_n) / (prod n_j! sqrt(det(Sigma +
-  I/2)))`` on the reduced covariance of the first k modes.
-* :class:`BlockApproxSampler` / :func:`approx_sublattice_sample` — the
-  efficient sampler: each sublattice block of the block-diagonal
-  approximate covariance is sampled independently with its own chain-rule
-  engine (rank <= 2 per block, so every hafnian is polynomial).
+* :class:`ChainRuleEngine` — exact photon-number sampling of an
+  arbitrary zero-mean Gaussian state by the chain rule: mode k is drawn
+  from ``P(n_k | n_1..n_{k-1}) = P(n_1..n_k) / P(n_1..n_{k-1})``, with
+  every prefix probability given by the hafnian formula ``P(n) =
+  Haf(A_n) / (prod n_j! sqrt(det(Sigma + I/2)))`` on the reduced
+  covariance of the first k modes.
+* :class:`BlockApproxSampler` — the block approximation in closed form.
+  A block sees one squeezer, which emits ``2K`` photons (``K ~ NegBin(1/2,
+  sech^2 r)``) that each land in the block with its share ``q = sum_{j in
+  block} |U[j, s]|^2`` of the source column.  The block total therefore
+  has generating function ``sech r (c0 + c1 z + c2 z^2)^(-1/2)`` with
+  ``t = tanh^2 r``, ``c0 = 1 - t (1-q)^2``, ``c1 = -2 t q (1-q)``, ``c2 =
+  -t q^2``; given the total, photons land independently by ``|U[j, s]|^2
+  / q``.  No hafnian is needed.
 * :func:`distinguishable_fock_sample` — photons tracked one at a time
   through ``|U|^2`` columns; binning the independently drawn output modes
   realizes the permutation-symmetrized distinguishable distribution
   without computing any permanent.
 
-Conditional distributions are truncated by a :class:`TruncationPolicy`
-and renormalized over the allowed window.  Inside a window the sweep
-stops early once the residual mass ``P(prefix) - sum_n P(prefix, n)``
-drops below ``1e-12 * P(prefix)`` — the chain-rule identity makes the
-residual available exactly, so the stop point is deterministic.
+Distributions are truncated by a :class:`TruncationPolicy` and
+renormalized over the allowed window.  Inside a window the chain-rule
+sweep stops early once the residual mass ``P(prefix) - sum_n P(prefix,
+n)`` drops below ``1e-12 * P(prefix)`` — the chain-rule identity makes
+the residual available exactly, so the stop point is deterministic.
 """
 
 from __future__ import annotations
@@ -38,21 +42,17 @@ from .gaussian import (
     BlockApproxCovariance,
     ComplexCovariance,
     a_matrix,
-    block_approx_covariance,
-    quad_to_complex,
     reduce_complex,
 )
 from .kernels import HAFNIAN_DIM_CAP, LOW_RANK_COLUMN_CAP, hafnian_general, takagi_factor
-from .lattice import Circuit, LatticeSpec
+from .lattice import Circuit, LatticeSpec, source_columns
 
 __all__ = [
     "TruncationPolicy",
     "truncation_threshold",
     "marginal_prob",
     "ChainRuleEngine",
-    "gbs_exact_sample",
     "BlockApproxSampler",
-    "approx_sublattice_sample",
     "distinguishable_fock_sample",
     "threshold_coarse_grain",
 ]
@@ -105,12 +105,18 @@ def truncation_threshold(
         raise ValueError(f"squeezing must be >= 0, got {squeezing}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    sech2 = 1.0 / math.cosh(squeezing) ** 2
+    sech2 = _sech2(squeezing)
     pairs = math.ceil(
         max(2.0 * sech2 * math.log(1.0 / epsilon), 4.0 * n_sources * sech2)
     )
     n_total = 2 * pairs
     return TruncationPolicy(epsilon=epsilon, n_total_max=n_total, n_mode_max=n_total)
+
+
+def _sech2(squeezing: float) -> float:
+    """``sech^2 r`` as ``4 e^{-2r} / (1 + e^{-2r})^2``, finite for every ``r >= 0``."""
+    e = math.exp(-2.0 * squeezing)
+    return 4.0 * e / (1.0 + e) ** 2
 
 
 def _logdet_q(sigma: np.ndarray) -> float:
@@ -360,22 +366,15 @@ class ChainRuleEngine:
         return out
 
 
-def gbs_exact_sample(
-    sigma: ComplexCovariance, policy: TruncationPolicy, rng: np.random.Generator
-) -> np.ndarray:
-    """One exact chain-rule sample.  For loops, build one
-    :class:`ChainRuleEngine` and call its ``sample`` repeatedly — the
-    engine's conditional cache is what makes large runs cheap."""
-    return ChainRuleEngine(sigma, policy).sample(rng)
-
-
 class BlockApproxSampler:
     """Samples the block-diagonal approximate state, block by block.
 
-    Each sublattice's reduced state sees a single squeezed source, so
-    its hafnian matrices have rank <= 2 and every conditional is
-    polynomial-time.  Blocks are independent: one chain-rule engine per
-    block, outcomes concatenated onto the full mode set.
+    Block ``b`` keeps only its own source ``s``: its photon total comes from
+    the closed-form law (module docstring) conditioned on ``n_total_max``,
+    and the photons land by ``|U[j, s]|^2 / q`` over its modes.  A block
+    outcome with a mode above ``n_mode_max`` is redrawn.  Only the source
+    columns of ``U`` are used; ``blocks`` (from ``block_approx_covariance``)
+    lends its columns, so both forms draw identical samples.
     """
 
     def __init__(
@@ -386,32 +385,55 @@ class BlockApproxSampler:
         policy: TruncationPolicy,
         blocks: BlockApproxCovariance | None = None,
     ):
-        if blocks is None:
-            blocks = block_approx_covariance(circuit, lattice, squeezing)
+        columns = source_columns(circuit) if blocks is None else blocks.columns
         self.lattice = lattice
         self.policy = policy
-        self.engines = [
-            ChainRuleEngine(quad_to_complex(block), policy)
-            for block in blocks.blocks
-        ]
+        self._blocks = []
+        for b, modes in enumerate(lattice.sublattices):
+            modes = np.asarray(modes, dtype=int)
+            route = np.cumsum(np.abs(columns[modes, b, None]) ** 2, axis=0)
+            q = min(route[-1, 0], 1.0)  # rounding can push the share past one
+            law = _block_total_law(squeezing, q, policy.n_total_max)
+            self._blocks.append((modes, np.cumsum(law)[:, None], route))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         out = np.zeros(self.lattice.n_modes, dtype=int)
-        for modes, engine in zip(self.lattice.sublattices, self.engines):
-            out[np.asarray(modes, dtype=int)] = engine.sample(rng)
+        for modes, law, route in self._blocks:
+            counts = None
+            while counts is None or counts.max() > self.policy.n_mode_max:
+                n = int(_inverse_cdf(law, rng.random(1))[0])
+                landed = _inverse_cdf(route, rng.random(n))
+                counts = np.bincount(landed, minlength=modes.size)
+            out[modes] = counts
         return out
 
 
-def approx_sublattice_sample(
-    circuit: Circuit,
-    lattice: LatticeSpec,
-    squeezing: float,
-    policy: TruncationPolicy,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One sample from the sublattice-block approximation.  For loops,
-    build one :class:`BlockApproxSampler` and reuse it."""
-    return BlockApproxSampler(circuit, lattice, squeezing, policy).sample(rng)
+def _block_total_law(squeezing: float, q: float, n_max: int) -> np.ndarray:
+    """``a_0..a_{n_max}`` of ``f = P^(-1/2)``, ``P = c0 + c1 z + c2 z^2``, normalized.
+
+    ``2 P f' + P' f = 0`` gives ``2 c0 (n+1) a_{n+1} = -c1 (2n+1) a_n - 2 c2
+    n a_{n-1}``, all terms non-negative.  ``c0`` is written as ``sech^2 r +
+    t q (2-q)`` to stay positive when ``t`` rounds to one; ``q = 0`` is a
+    point mass at zero.
+    """
+    t = math.tanh(squeezing) ** 2
+    c0 = _sech2(squeezing) + t * q * (2.0 - q)
+    c1 = -2.0 * t * q * (1.0 - q)
+    c2 = -t * q * q
+    a = np.zeros(n_max + 2)  # a[-1] stands in for a_{-1} = 0
+    a[0] = 1.0
+    for n in range(n_max if q > 0.0 else 0):
+        a[n + 1] = -(c1 * (2 * n + 1) * a[n] + 2 * c2 * n * a[n - 1]) / (2 * c0 * (n + 1))
+    return a[:-1] / a.sum()
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF index of each uniform ``u[i]`` over unnormalized
+    cumulative weights: ``cdf`` holds one column shared by every draw, or
+    one column per draw.  Counting ``cdf <= u * total`` is
+    ``searchsorted(side="right")`` column by column."""
+    hits = (cdf <= u * cdf[-1]).sum(axis=0)
+    return np.minimum(hits, cdf.shape[0] - 1)
 
 
 def distinguishable_fock_sample(
@@ -426,15 +448,9 @@ def distinguishable_fock_sample(
     orderings accumulate on the same bin), so no permanent is needed.
     """
     unitary = np.asarray(unitary)
-    m = unitary.shape[0]
-    counts = np.zeros(m, dtype=int)
-    for src in lattice.sources:
-        weights = np.abs(unitary[:, src]) ** 2
-        cdf = np.cumsum(weights)
-        u = rng.random() * cdf[-1]
-        k = int(np.searchsorted(cdf, u, side="right"))
-        counts[min(k, m - 1)] += 1
-    return counts
+    cdf = np.cumsum(np.abs(unitary[:, list(lattice.sources)]) ** 2, axis=0)
+    landed = _inverse_cdf(cdf, rng.random(lattice.n_sources))
+    return np.bincount(landed, minlength=unitary.shape[0])
 
 
 def threshold_coarse_grain(counts) -> np.ndarray:

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line front end and its artifacts."""
 
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import blsampler
 from blsampler.cli import main
 from blsampler.diagnostics import leakage_bound
 from blsampler.errors import ConditioningError
@@ -212,6 +217,21 @@ def test_fock_sampler_conserves_photons(tmp_path):
         assert sum(record["counts"]) == 2
 
 
+def test_fock_artifact_bytes_are_pinned(tmp_path):
+    # sha256 of this artifact as written before the block sampler and the
+    # Fock sampler shared one routing helper: the Fock stream must not move
+    out = tmp_path / "pinned.jsonl"
+    args = [
+        "--mode", "sample-fock", "--dim", "2", "--sources", "4",
+        "--sublattice-edge", "2", "--depth", "3", "--samples", "20",
+        "--seed", "5", "--out", str(out),
+    ]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5ba732eb2b2eaf106cf19d771ae057cf141940dc31b23f529dbdcd83d381d2b8"
+    )
+
+
 # --------------------------------------------------------------- selftest
 
 
@@ -367,6 +387,31 @@ def test_size_cap_exits_three(tmp_path, capsys):
     )
     assert code == 3
     assert _stderr_json(capsys)["error"] == "size-cap"
+
+
+@pytest.mark.parametrize("squeezing", ["nan", "inf", "400", "1e308"])
+@pytest.mark.parametrize("mode", ["sample-exact", "sample-approx", "diagnose-bounds"])
+def test_out_of_range_squeezing_fails_cleanly(tmp_path, mode, squeezing):
+    # a separate process, so that warnings and tracebacks reach stderr as
+    # they would for a user
+    args = [
+        "--mode", mode, "--dim", "1", "--sources", "2", "--sublattice-edge", "2",
+        "--depth", "2", "--squeezing", squeezing, "--samples", "2", "--seed", "1",
+        "--out", str(tmp_path / "out"),
+    ]
+    src = os.path.dirname(os.path.dirname(blsampler.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("BLS_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "blsampler.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    if squeezing in ("nan", "inf"):
+        assert proc.returncode == 2
+    for line in proc.stderr.splitlines():
+        json.loads(line)
 
 
 def test_numerical_failure_exits_four(monkeypatch, capsys):

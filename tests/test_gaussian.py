@@ -11,6 +11,7 @@ from blsampler import (
     QuadCovariance,
     SMALL_X_THRESHOLD,
     a_matrix,
+    beam_splitter_unitary,
     block_approx_covariance,
     build_lattice,
     circuit_pure_a,
@@ -238,6 +239,48 @@ def test_block_approx_deviation_grows_with_depth():
         diffs.append(frobenius_diff(exact, approx))
     assert diffs[0] < 1e-12
     assert diffs[1] > diffs[0]
+
+
+def _realified(u: np.ndarray) -> np.ndarray:
+    """Each complex entry becomes ``[[Re, -Im], [Im, Re]]`` (interleaved)."""
+    out = np.empty((2 * u.shape[0], 2 * u.shape[1]))
+    out[0::2, 0::2], out[0::2, 1::2] = u.real, -u.imag
+    out[1::2, 0::2], out[1::2, 1::2] = u.imag, u.real
+    return out
+
+
+def _reference_symplectic(circ) -> np.ndarray:
+    """Gate-by-gate product of realified 2x2 beam-splitter unitaries."""
+    s = np.eye(2 * circ.n_modes)
+    for layer in circ.layers:
+        for gate in layer:
+            i, j = gate.modes
+            rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+            s[rows] = _realified(beam_splitter_unitary(gate.theta, gate.phi)) @ s[rows]
+    return s
+
+
+def _squeezed_input(lat, sources, r) -> np.ndarray:
+    diag = np.full(2 * lat.n_modes, 0.5)
+    for src in sources:
+        diag[2 * src] = math.exp(2 * r) / 2.0
+        diag[2 * src + 1] = math.exp(-2 * r) / 2.0
+    return np.diag(diag)
+
+
+@pytest.mark.parametrize("dim, edge, depth", [(1, 4, 6), (2, 3, 4)])
+def test_covariances_match_gate_by_gate_symplectic(dim, edge, depth):
+    lat = build_lattice(dim, 4, edge)
+    circ = sample_random_circuit(lat, depth, np.random.default_rng(17))
+    s = _reference_symplectic(circ)
+    r = 0.8
+    want = s @ _squeezed_input(lat, lat.sources, r) @ s.T
+    assert np.abs(state_covariance(circ, lat, r).matrix - want).max() < 1e-12
+    bav = block_approx_covariance(circ, lat, r)
+    for block, modes, src in zip(bav.blocks, lat.sublattices, lat.sources):
+        q = np.sort(np.concatenate([[2 * m, 2 * m + 1] for m in modes]))
+        alone = s @ _squeezed_input(lat, [src], r) @ s.T
+        assert np.abs(block.matrix - alone[np.ix_(q, q)]).max() < 1e-12
 
 
 # ------------------------------------------------------------ serialization

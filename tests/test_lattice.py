@@ -17,6 +17,7 @@ from blsampler import (
     circuit_from_json,
     circuit_to_json,
     sample_random_circuit,
+    source_columns,
 )
 
 
@@ -127,6 +128,16 @@ def test_accumulated_unitary_is_unitary():
     circ = sample_random_circuit(lat, 5, np.random.default_rng(11))
     u = accumulate_unitary(circ)
     assert np.allclose(u @ u.conj().T, np.eye(lat.n_modes), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim, edge", [(1, 4), (2, 3)])
+def test_source_columns_are_the_unitary_source_columns(dim, edge):
+    lat = build_lattice(dim, 4, edge)
+    circ = sample_random_circuit(lat, 5, np.random.default_rng(13))
+    cols = source_columns(circ)
+    assert cols.shape == (lat.n_modes, lat.n_sources)
+    want = accumulate_unitary(circ)[:, list(lat.sources)]
+    assert np.abs(cols - want).max() <= 1e-15
 
 
 def test_single_gate_unitary_embedding():

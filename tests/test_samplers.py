@@ -9,19 +9,24 @@ from blsampler import (
     BlockApproxSampler,
     ChainRuleEngine,
     TruncationPolicy,
-    approx_sublattice_sample,
+    block_approx_covariance,
     build_lattice,
     distinguishable_fock_sample,
     accumulate_unitary,
-    gbs_exact_sample,
+    empirical_distribution,
+    enumerate_gbs_distribution,
     marginal_prob,
+    product_distribution,
     quad_to_complex,
     reduce_complex,
     sample_random_circuit,
     state_covariance,
     threshold_coarse_grain,
     truncation_threshold,
+    tvd,
 )
+from blsampler.diagnostics import Distribution
+from blsampler.samplers import _block_total_law
 
 
 def _pure_sigma(dim, n_sources, edge, depth, r, seed):
@@ -136,7 +141,7 @@ def test_exact_sampler_vacuum_is_all_zeros():
     lat, sigma = _pure_sigma(1, 2, 2, 3, 0.0, 6)
     policy = truncation_threshold(2, 0.0, 1e-6)
     for i in range(5):
-        counts = gbs_exact_sample(sigma, policy, np.random.default_rng([6, i]))
+        counts = ChainRuleEngine(sigma, policy).sample(np.random.default_rng([6, i]))
         assert counts.tolist() == [0, 0, 0, 0]
 
 
@@ -170,8 +175,8 @@ def test_exact_sampler_matches_two_mode_statistics():
 def test_exact_sampler_is_stream_deterministic():
     lat, sigma = _pure_sigma(1, 2, 2, 4, 0.5, 9)
     policy = truncation_threshold(2, 0.5, 1e-6)
-    a = gbs_exact_sample(sigma, policy, np.random.default_rng([4, 7]))
-    b = gbs_exact_sample(sigma, policy, np.random.default_rng([4, 7]))
+    a = ChainRuleEngine(sigma, policy).sample(np.random.default_rng([4, 7]))
+    b = ChainRuleEngine(sigma, policy).sample(np.random.default_rng([4, 7]))
     assert np.array_equal(a, b)
 
 
@@ -188,17 +193,76 @@ def test_block_sampler_covers_all_modes():
     assert (counts >= 0).all()
 
 
-def test_block_sampler_single_call_helper_agrees():
-    lat = build_lattice(1, 2, 2)
-    circ = sample_random_circuit(lat, 2, np.random.default_rng(35))
-    policy = truncation_threshold(2, 0.5, 1e-6)
-    direct = approx_sublattice_sample(
-        circ, lat, 0.5, policy, np.random.default_rng([2, 2])
-    )
-    via_class = BlockApproxSampler(circ, lat, 0.5, policy).sample(
-        np.random.default_rng([2, 2])
-    )
-    assert np.array_equal(direct, via_class)
+def test_block_sampler_reuses_block_covariance_columns():
+    lat = build_lattice(1, 2, 3)
+    circ = sample_random_circuit(lat, 6, np.random.default_rng(35))
+    policy = truncation_threshold(2, 0.7, 1e-6)
+    blocks = block_approx_covariance(circ, lat, 0.7)
+    direct = BlockApproxSampler(circ, lat, 0.7, policy)
+    reused = BlockApproxSampler(circ, lat, 0.7, policy, blocks=blocks)
+    for i in range(20):
+        a = direct.sample(np.random.default_rng([2, i]))
+        b = reused.sample(np.random.default_rng([2, i]))
+        assert np.array_equal(a, b)
+
+
+# Leaky blocks (depth 6 on edge-3 sublattices): light of each source leaves
+# its block, so the block law is a genuinely thinned squeezer.
+_LEAKY_BLOCKS = [(5, 0.7), (11, 1.0)]
+
+
+def _block_tables(seed, r, policy):
+    """Normalized enumeration oracle of every block of the approximation."""
+    lat = build_lattice(1, 2, 3)
+    circ = sample_random_circuit(lat, 6, np.random.default_rng(seed))
+    blocks = block_approx_covariance(circ, lat, r)
+    tables = []
+    for block in blocks.blocks:
+        table = enumerate_gbs_distribution(quad_to_complex(block), policy)
+        tables.append(Distribution(table.counts, table.probs / table.mass))
+    return lat, circ, tables
+
+
+@pytest.mark.parametrize("seed, r", _LEAKY_BLOCKS)
+def test_block_total_law_matches_enumerated_block_marginal(seed, r):
+    policy = TruncationPolicy(1e-6, 10, 10)
+    lat, circ, tables = _block_tables(seed, r, policy)
+    u = accumulate_unitary(circ)
+    for table, modes, src in zip(tables, lat.sublattices, lat.sources):
+        q = float(np.sum(np.abs(u[list(modes), src]) ** 2))
+        assert 0.05 < 1.0 - q  # the block really leaks
+        oracle = np.bincount(
+            table.counts.sum(axis=1), weights=table.probs, minlength=policy.n_total_max + 1
+        )
+        law = _block_total_law(r, q, policy.n_total_max)
+        assert np.abs(law - oracle).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "seed, r, policy",
+    [
+        (5, 0.7, TruncationPolicy(1e-6, 10, 10)),
+        (11, 1.0, TruncationPolicy(1e-6, 10, 10)),
+        # per-mode cap below the total: the sampler must condition on both
+        (11, 1.0, TruncationPolicy(1e-6, 8, 3)),
+    ],
+)
+def test_block_sampler_matches_product_of_block_tables(seed, r, policy):
+    lat, circ, tables = _block_tables(seed, r, policy)
+    target = product_distribution(tables, lat.sublattices, lat.n_modes)
+    n = 3000
+    sampler = BlockApproxSampler(circ, lat, r, policy)
+    rng = np.random.default_rng([seed, 1])
+    samples = np.array([sampler.sample(rng) for _ in range(n)])
+    distance = tvd(empirical_distribution(samples), target)
+    # noise floor: the same statistic on batches drawn from the oracle itself
+    null_rng = np.random.default_rng([seed, 2])
+    null = []
+    for _ in range(40):
+        draws = null_rng.choice(target.probs.size, size=n, p=target.probs)
+        null.append(tvd(empirical_distribution(target.counts[draws]), target))
+    floor = np.mean(null) + 6.0 * np.std(null)
+    assert distance <= floor, (distance, floor)
 
 
 def test_block_sampler_in_cone_matches_exact_sampler_statistics():
