@@ -439,11 +439,13 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
     args = _build_parser().parse_args(argv)
-    config, problems = validate(args)
-    if problems:
-        _emit_error("invalid-config", "configuration rejected", problems=problems)
-        return EXIT_INVALID_CONFIG
     try:
+        config, problems = validate(args)
+        if problems:
+            _emit_error(
+                "invalid-config", "configuration rejected", problems=problems
+            )
+            return EXIT_INVALID_CONFIG
         return run(config)
     except ConfigurationError as exc:
         _emit_error("invalid-config", str(exc), problems=exc.problems)

@@ -343,8 +343,16 @@ def fidelity(pure: QuadCovariance, other: QuadCovariance, purity_tol: float = 1e
 
 
 def frobenius_diff(v1: QuadCovariance, v2: QuadCovariance) -> float:
-    """Frobenius norm of the covariance deviation ``||V1 - V2||_F``."""
-    return float(np.linalg.norm(v1.matrix - v2.matrix, "fro"))
+    """Frobenius norm of the covariance deviation ``||V1 - V2||_F``.
+
+    Raises :class:`OverflowError` when the norm leaves the float range
+    (squeezing in the hundreds), instead of returning ``inf``.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return float(np.linalg.norm(v1.matrix - v2.matrix, "fro"))
+    except FloatingPointError as exc:
+        raise OverflowError(f"covariance deviation norm: {exc}") from None
 
 
 def infidelity_bound(norm_x: float, n_sources: int, squeezing: float) -> float:

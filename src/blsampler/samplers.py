@@ -97,7 +97,9 @@ def truncation_threshold(
     ``ceil(max(2 sech^2(r) ln(1/eps), 4 N sech^2(r)))``; the second term
     is a floor guard keeping the cap above the distribution's bulk even
     when ``eps`` is large.  Both the total budget and the per-mode cap
-    are twice the pair budget.
+    are twice the pair budget.  Squeezing so large that ``sech^2 r``
+    underflows leaves no photon in the budget and raises
+    :class:`SizeCapError`.
     """
     if n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
@@ -109,6 +111,11 @@ def truncation_threshold(
     pairs = math.ceil(
         max(2.0 * sech2 * math.log(1.0 / epsilon), 4.0 * n_sources * sech2)
     )
+    if pairs == 0:
+        raise SizeCapError(
+            f"squeezing {squeezing} underflows sech^2 r to {sech2}: "
+            "the photon budget would be 0"
+        )
     n_total = 2 * pairs
     return TruncationPolicy(epsilon=epsilon, n_total_max=n_total, n_mode_max=n_total)
 

@@ -389,7 +389,7 @@ def test_size_cap_exits_three(tmp_path, capsys):
     assert _stderr_json(capsys)["error"] == "size-cap"
 
 
-@pytest.mark.parametrize("squeezing", ["nan", "inf", "400", "1e308"])
+@pytest.mark.parametrize("squeezing", ["nan", "inf", "200", "380", "400", "1e308"])
 @pytest.mark.parametrize("mode", ["sample-exact", "sample-approx", "diagnose-bounds"])
 def test_out_of_range_squeezing_fails_cleanly(tmp_path, mode, squeezing):
     # a separate process, so that warnings and tracebacks reach stderr as
@@ -410,6 +410,12 @@ def test_out_of_range_squeezing_fails_cleanly(tmp_path, mode, squeezing):
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     if squeezing in ("nan", "inf"):
         assert proc.returncode == 2
+    if squeezing in ("380", "400", "1e308"):
+        # sech^2 r underflows to 0, so the photon budget would be empty
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"] == "size-cap"
+    if squeezing == "200" and mode == "diagnose-bounds":
+        assert proc.returncode == 4
     for line in proc.stderr.splitlines():
         json.loads(line)
 

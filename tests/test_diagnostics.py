@@ -13,6 +13,7 @@ from blsampler import (
     SizeCapError,
     TruncationPolicy,
     accumulate_unitary,
+    block_approx_covariance,
     build_lattice,
     coarse_grain_distribution,
     empirical_distribution,
@@ -185,6 +186,111 @@ def test_product_distribution_validates_mode_lists():
     clicks = Distribution(np.array([[0]]), np.array([1.0]), kind="clicks")
     with pytest.raises(ValueError):
         product_distribution([clicks], [[0]], 1)
+
+
+def _reference_product(dists, mode_lists, n_modes, budget):
+    # every n1 * n2 pair, then the pairs over the budget filtered out
+    acc_counts = np.zeros((1, 0), dtype=np.int16)
+    acc_probs = np.ones(1)
+    for dist in dists:
+        n1, n2 = acc_counts.shape[0], dist.counts.shape[0]
+        i = np.repeat(np.arange(n1), n2)
+        j = np.tile(np.arange(n2), n1)
+        if budget is not None:
+            keep = acc_counts.sum(axis=1)[i] + dist.counts.sum(axis=1)[j] <= budget
+            i, j = i[keep], j[keep]
+        acc_counts = np.hstack([acc_counts[i], dist.counts[j].astype(np.int16)])
+        acc_probs = acc_probs[i] * dist.probs[j]
+    full = np.zeros((acc_counts.shape[0], n_modes), dtype=np.int16)
+    full[:, np.concatenate(mode_lists)] = acc_counts
+    return full, acc_probs
+
+
+def _reference_tvd(d1, d2):
+    # union of the packed keys by np.unique, tables placed by searchsorted
+    base = max(2, int(d1.counts.max(initial=0)), int(d2.counts.max(initial=0))) + 1
+    powers = base ** np.arange(d1.n_modes, dtype=np.int64)
+    k1 = d1.counts.astype(np.int64) @ powers
+    k2 = d2.counts.astype(np.int64) @ powers
+    union = np.unique(np.concatenate([k1, k2]))
+    p1 = np.zeros(union.shape[0])
+    p2 = np.zeros(union.shape[0])
+    p1[np.searchsorted(union, k1)] = d1.probs
+    p2[np.searchsorted(union, k2)] = d2.probs
+    return float(0.5 * np.abs(p1 - p2).sum())
+
+
+def _random_table(rng, n_modes, top, n_rows, low=0):
+    # distinct rows in shuffled order, so row order is tested too
+    grid = np.indices((top + 1 - low,) * n_modes).reshape(n_modes, -1).T + low
+    rows = grid[rng.permutation(grid.shape[0])[:n_rows]]
+    probs = rng.random(rows.shape[0])
+    return Distribution(rows.astype(np.int16), probs / probs.sum())
+
+
+@pytest.mark.parametrize(
+    "shapes, budget",
+    [
+        ([(2, 3, 12), (1, 5, 6), (3, 2, 20)], 6),  # three blocks
+        ([(2, 3, 12), (3, 2, 20)], None),  # full product
+        ([(2, 4, 25), (2, 4, 25)], 20),  # budget above every total
+    ],
+)
+def test_product_distribution_matches_filtered_full_product(shapes, budget):
+    rng = np.random.default_rng(2024)
+    dists = [_random_table(rng, m, top, n) for m, top, n in shapes]
+    sizes = np.cumsum([0] + [m for m, _, _ in shapes])
+    order = rng.permutation(sizes[-1])
+    mode_lists = [order[a:b] for a, b in zip(sizes[:-1], sizes[1:])]
+    got = product_distribution(dists, mode_lists, sizes[-1] + 1, budget=budget)
+    counts, probs = _reference_product(dists, mode_lists, sizes[-1] + 1, budget)
+    assert got.counts.dtype == counts.dtype
+    np.testing.assert_array_equal(got.counts, counts)
+    np.testing.assert_array_equal(got.probs, probs)
+    assert got.probs.shape[0] > 0
+    if budget is not None:
+        assert got.counts.sum(axis=1).max() <= budget
+
+
+def test_product_distribution_budget_below_every_total_is_empty():
+    rng = np.random.default_rng(7)
+    dists = [_random_table(rng, 2, 3, 10, low=1) for _ in range(2)]
+    for budget in (1, 0, -3):
+        got = product_distribution(dists, [[0, 1], [2, 3]], 4, budget=budget)
+        counts, probs = _reference_product(dists, [[0, 1], [2, 3]], 4, budget)
+        assert got.counts.shape == counts.shape == (0, 4)
+        assert probs.shape == got.probs.shape == (0,)
+        assert tvd(got, got) == _reference_tvd(got, got) == 0.0
+
+
+@pytest.mark.parametrize("n_modes, top, n_rows", [(3, 3, 40), (5, 2, 150)])
+def test_tvd_matches_union_reference_bit_for_bit(n_modes, top, n_rows):
+    rng = np.random.default_rng(n_modes)
+    for _ in range(5):
+        d1 = _random_table(rng, n_modes, top, n_rows)
+        d2 = _random_table(rng, n_modes, top, n_rows)
+        assert tvd(d1, d2) == _reference_tvd(d1, d2)
+        assert tvd(d2, d1) == _reference_tvd(d2, d1)
+    # disjoint supports: rows of d2 all have a count above d1's top
+    d1 = _random_table(rng, n_modes, top, n_rows)
+    d2 = _random_table(rng, n_modes, top + 2, n_rows, low=top + 1)
+    assert tvd(d1, d2) == _reference_tvd(d1, d2)
+    assert tvd(d1, d2) == pytest.approx(1.0)
+
+
+def test_tvd_wide_tables_take_the_dict_path():
+    # 40 modes at base 4 need 80 key bits: the packed-key path cannot run,
+    # and one table carries a count the other never reaches
+    rng = np.random.default_rng(62)
+    c1 = np.unique(rng.integers(0, 3, (30, 40)), axis=0)
+    c2 = np.vstack([c1[:10], np.full((1, 40), 3)])
+    d1 = Distribution(c1, np.full(c1.shape[0], 1.0 / c1.shape[0]))
+    d2 = Distribution(c2, np.full(c2.shape[0], 1.0 / c2.shape[0]))
+    t1, t2 = d1.as_dict(), d2.as_dict()
+    expected = 0.5 * sum(
+        abs(t1.get(k, 0.0) - t2.get(k, 0.0)) for k in set(t1) | set(t2)
+    )
+    assert tvd(d1, d2) == expected
 
 
 # --------------------------------------------------- Gaussian enumeration
@@ -429,11 +535,36 @@ def test_fock_error_closed_form_matches_two_source_expansion():
 # --------------------------------------------------------- chained report
 
 
-def test_theorem_bound_report_runs_full_chain():
+def test_theorem_bound_report_runs_full_chain(monkeypatch):
     lat = build_lattice(1, 2, 4)
     circ = sample_random_circuit(lat, 3, np.random.default_rng(27))
     policy = truncation_threshold(2, 0.5, epsilon=1e-6)
+    calls = []
+
+    def counted_tvd(d1, d2):
+        calls.append(1)
+        return tvd(d1, d2)
+
+    monkeypatch.setattr("blsampler.diagnostics.tvd", counted_tvd)
     report = theorem_bound_report(circ, lat, 0.5, policy=policy)
+    assert len(calls) == 1
+    # the report's tables, rebuilt: both distances are the public ones, bit for bit
+    budget = min(policy.n_total_max, 16)
+    clamped = TruncationPolicy(policy.epsilon, budget, min(policy.n_mode_max, budget))
+    exact = enumerate_gbs_distribution(
+        quad_to_complex(state_covariance(circ, lat, 0.5)), clamped
+    )
+    approx = product_distribution(
+        [
+            enumerate_gbs_distribution(quad_to_complex(block), clamped)
+            for block in block_approx_covariance(circ, lat, 0.5).blocks
+        ],
+        lat.sublattices,
+        lat.n_modes,
+        budget=budget,
+    )
+    assert report["tvd_table"] == tvd(exact, approx)
+    assert report["tvd_upper"] == tvd_upper_bound(exact, approx)
     for key in (
         "eta_max",
         "leakage_bound",
