@@ -50,7 +50,13 @@ from .gaussian import (
     SMALL_X_THRESHOLD,
 )
 from .kernels import LOW_RANK_COLUMN_CAP, permanent, takagi_factor
-from .lattice import Circuit, LatticeSpec, accumulate_unitary, brickwork_pairs
+from .lattice import (
+    Circuit,
+    LatticeSpec,
+    _mix_rows,
+    accumulate_unitary,
+    brickwork_pairs,
+)
 from .samplers import TruncationPolicy, _general_prob, _logdet_q
 
 __all__ = [
@@ -576,9 +582,7 @@ def random_walk_profile(
             phi = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
             c, s = np.cos(theta), np.sin(theta)
             e = np.exp(1j * phi)
-            ai, aj = amps[:, i], amps[:, j]
-            amps[:, i] = c * ai + e * s * aj
-            amps[:, j] = -np.conj(e) * s * ai + c * aj
+            _mix_rows(amps.T, i, j, c.T, (e * s).T, (-np.conj(e) * s).T)
             avg = 0.5 * (profile[i] + profile[j])
             profile[i] = avg
             profile[j] = avg

@@ -12,6 +12,13 @@ Gates are ordered within a layer by their lower mode index, and
 :func:`sample_random_circuit` draws each layer's angles as a single
 ``uniform(0, 2*pi)`` block of shape ``(n_gates, 2)``, which makes circuits
 reproducible from a seed alone.
+
+:func:`accumulate_unitary` and :func:`source_columns` share one gate loop
+that applies each layer as one vectorized update of the rows it touches
+(a full unitary takes a layer a few gates at a time).  This is exact
+because :meth:`Circuit.validate` guarantees that the gates of one layer
+act on disjoint, in-range modes; every entry equals what gate-by-gate
+application gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -228,8 +235,8 @@ def sample_random_circuit(
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(pairs), 2))
         layers.append(
             [
-                BeamSplitterGate((int(i), int(j)), float(t), float(p))
-                for (i, j), (t, p) in zip(pairs, angles)
+                BeamSplitterGate((i, j), t, p)
+                for (i, j), (t, p) in zip(pairs.tolist(), angles.tolist())
             ]
         )
     return Circuit(lattice=lattice, layers=layers)
@@ -241,9 +248,15 @@ def beam_splitter_unitary(theta: float, phi: float) -> np.ndarray:
     ``[[cos t, e^{i p} sin t], [-e^{-i p} sin t, cos t]]``; at
     ``theta = pi/4, phi = 0`` this is the balanced splitter.
     """
+    c, es, fs = _gate_coefficients(theta, phi)
+    return np.array([[c, es], [fs, c]])
+
+
+def _gate_coefficients(theta: float, phi: float) -> tuple[float, complex, complex]:
+    """``(cos t, e^{i p} sin t, -e^{-i p} sin t)``: the entries of one beam splitter."""
     c, s = math.cos(theta), math.sin(theta)
     e = complex(math.cos(phi), math.sin(phi))
-    return np.array([[c, e * s], [-e.conjugate() * s, c]])
+    return c, e * s, -e.conjugate() * s
 
 
 def accumulate_unitary(circuit: Circuit) -> np.ndarray:
@@ -260,26 +273,53 @@ def accumulate_unitary(circuit: Circuit) -> np.ndarray:
 def source_columns(circuit: Circuit) -> np.ndarray:
     """``U[:, sources]``, shape ``M x N``: where each source's light goes.
 
-    Same gate loop as :func:`accumulate_unitary`, at ``O(N * gates)``.
+    Same layer-by-layer loop as :func:`accumulate_unitary`, at
+    ``O(N * gates)``; the columns equal ``accumulate_unitary(circuit)[:,
+    sources]`` bit for bit.
     """
     eye = np.eye(circuit.n_modes, dtype=complex)
     return _apply_gates(circuit, eye[:, list(circuit.lattice.sources)])
 
 
+# At most this many entries of ``u`` are gathered per row set in one
+# vectorized update (64 KiB of complex128).  Source columns take a whole
+# layer at once; a full unitary takes a layer a few gates at a time, which
+# keeps the temporaries small enough for the allocator to reuse instead of
+# mapping and faulting in fresh pages for every layer.
+_CHUNK_ENTRIES = 4096
+
+
 def _apply_gates(circuit: Circuit, u: np.ndarray) -> np.ndarray:
-    """Left-multiply ``u`` (in place) by every gate of the circuit in order."""
+    """Left-multiply ``u`` (in place) by every gate of the circuit in order.
+
+    Vectorized over the gates of a layer: :meth:`Circuit.validate`
+    guarantees that they act on disjoint, in-range modes, so they commute
+    and their rows can be mixed at once (up to ``_CHUNK_ENTRIES //
+    u.shape[1]`` gates per update).  Each gate's scalars and products are
+    those of gate-by-gate application, so the result is bit-identical.
+    """
     circuit.validate()
+    step = max(1, _CHUNK_ENTRIES // u.shape[1])
     for layer in circuit.layers:
-        for gate in layer:
-            i, j = gate.modes
-            c = math.cos(gate.theta)
-            s = math.sin(gate.theta)
-            e = complex(math.cos(gate.phi), math.sin(gate.phi))
-            row_i = u[i].copy()
-            row_j = u[j]
-            u[i] = c * row_i + (e * s) * row_j
-            u[j] = (-e.conjugate() * s) * row_i + c * row_j
+        for start in range(0, len(layer), step):
+            gates = layer[start : start + step]
+            i, j = np.array([gate.modes for gate in gates]).T
+            coeffs = np.array([_gate_coefficients(g.theta, g.phi) for g in gates])
+            c, es, fs = coeffs.T[:, :, None]
+            _mix_rows(u, i, j, c, es, fs)
     return u
+
+
+def _mix_rows(u, i, j, c, es, fs) -> None:
+    """Set ``u[i], u[j] = c*u[i] + es*u[j], fs*u[i] + c*u[j]`` in place.
+
+    ``i`` and ``j`` index the first axis of ``u`` with no mode repeated
+    across them, as in one brickwork layer; the coefficients broadcast
+    against ``u[i]``, one row of coefficients per mode pair.
+    """
+    ri, rj = u[i], u[j]
+    u[i] = c * ri + es * rj
+    u[j] = fs * ri + c * rj
 
 
 def _fmt(x: float) -> str:

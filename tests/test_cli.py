@@ -217,19 +217,37 @@ def test_fock_sampler_conserves_photons(tmp_path):
         assert sum(record["counts"]) == 2
 
 
-def test_fock_artifact_bytes_are_pinned(tmp_path):
-    # sha256 of this artifact as written before the block sampler and the
-    # Fock sampler shared one routing helper: the Fock stream must not move
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        # pinned before the block sampler and the Fock sampler shared one
+        # routing helper: the Fock stream must not move
+        pytest.param(
+            "--mode sample-fock --dim 2 --sources 4 --sublattice-edge 2 "
+            "--depth 3 --samples 20 --seed 5",
+            "5ba732eb2b2eaf106cf19d771ae057cf141940dc31b23f529dbdcd83d381d2b8",
+            id="sample-fock",
+        ),
+        # pinned before circuits were applied one layer at a time: the
+        # Gaussian samplers read U's source columns, which must not move
+        pytest.param(
+            "--mode sample-approx --dim 2 --sources 4 --sublattice-edge 2 "
+            "--depth 3 --squeezing 1.0 --samples 20 --seed 5",
+            "8fd6ac066ada0aee82ce6cb6204c4c28dba0c89f89fc6d1d4d9b6275ba012561",
+            id="sample-approx",
+        ),
+        pytest.param(
+            "--mode sample-exact --dim 1 --sources 2 --sublattice-edge 2 "
+            "--depth 2 --squeezing 0.8 --epsilon 1e-3 --samples 10 --seed 5",
+            "17e564d2928e474973d7a0b40202d8c8eb89077e8f7ec83177a4a1073b4f9acf",
+            id="sample-exact",
+        ),
+    ],
+)
+def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
     out = tmp_path / "pinned.jsonl"
-    args = [
-        "--mode", "sample-fock", "--dim", "2", "--sources", "4",
-        "--sublattice-edge", "2", "--depth", "3", "--samples", "20",
-        "--seed", "5", "--out", str(out),
-    ]
-    assert main(args) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5ba732eb2b2eaf106cf19d771ae057cf141940dc31b23f529dbdcd83d381d2b8"
-    )
+    assert main(args.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # --------------------------------------------------------------- selftest

@@ -140,6 +140,63 @@ def test_source_columns_are_the_unitary_source_columns(dim, edge):
     assert np.abs(cols - want).max() <= 1e-15
 
 
+def _gate_by_gate(circuit, u):
+    """Reference: left-multiply ``u`` by one 2x2 update per gate, in order."""
+    for layer in circuit.layers:
+        for gate in layer:
+            i, j = gate.modes
+            c = math.cos(gate.theta)
+            s = math.sin(gate.theta)
+            e = complex(math.cos(gate.phi), math.sin(gate.phi))
+            row_i = u[i].copy()
+            row_j = u[j]
+            u[i] = c * row_i + (e * s) * row_j
+            u[j] = (-e.conjugate() * s) * row_i + c * row_j
+    return u
+
+
+def _hand_built_circuit():
+    # gates listed out of mode order, one with i > j, and an empty layer
+    lat = build_lattice(1, 2, 3)
+    layers = [
+        [BeamSplitterGate((4, 5), 0.3, 1.9), BeamSplitterGate((0, 3), 2.2, 0.4),
+         BeamSplitterGate((2, 1), 1.1, 5.0)],
+        [],
+        [BeamSplitterGate((5, 2), 0.8, 3.3), BeamSplitterGate((1, 0), 4.1, 2.7)],
+    ]
+    return Circuit(lattice=lat, layers=layers)
+
+
+def _seeded_circuit(dim, n_sources, edge, depth, seed):
+    lat = build_lattice(dim, n_sources, edge)
+    return sample_random_circuit(lat, depth, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: _seeded_circuit(1, 2, 4, 5, 21), id="d1"),
+        pytest.param(lambda: _seeded_circuit(2, 4, 3, 6, 22), id="d2"),
+        pytest.param(lambda: _seeded_circuit(3, 2, 3, 7, 23), id="d3"),
+        # 600 modes: the full unitary takes each layer in several updates
+        pytest.param(lambda: _seeded_circuit(1, 3, 200, 6, 24), id="d1-wide"),
+        pytest.param(_hand_built_circuit, id="hand-built"),
+        pytest.param(lambda: _seeded_circuit(2, 2, 2, 0, 25), id="depth0"),
+    ],
+)
+def test_layer_update_is_bit_identical_to_gate_by_gate(make):
+    circ = make()
+    eye = np.eye(circ.n_modes, dtype=complex)
+    sources = list(circ.lattice.sources)
+    u = accumulate_unitary(circ)
+    cols = source_columns(circ)
+    assert np.array_equal(u, _gate_by_gate(circ, eye.copy()))
+    assert np.array_equal(cols, _gate_by_gate(circ, eye[:, sources]))
+    if circ.depth == 0:
+        assert np.array_equal(u, eye)
+        assert np.array_equal(cols, eye[:, sources])
+
+
 def test_single_gate_unitary_embedding():
     lat = build_lattice(1, 1, 2)
     gate = BeamSplitterGate((0, 1), 0.7, 1.1)
@@ -166,10 +223,18 @@ def test_circuit_validate_rejects_mode_reuse():
 
 
 def test_circuit_validate_rejects_out_of_range_modes():
+    # the layer update indexes rows with these modes: a negative one would
+    # wrap and a gate (k, k) would overwrite its own row, so each must be
+    # refused before any row is touched
     lat = build_lattice(1, 1, 2)
-    bad = Circuit(lattice=lat, layers=[[BeamSplitterGate((0, 5), 0.1, 0.2)]])
-    with pytest.raises(MalformedCircuitError):
-        bad.validate()
+    for modes in [(0, 5), (-1, 0), (1, 1), (0, 2)]:
+        bad = Circuit(lattice=lat, layers=[[BeamSplitterGate(modes, 0.1, 0.2)]])
+        with pytest.raises(MalformedCircuitError):
+            bad.validate()
+        with pytest.raises(MalformedCircuitError):
+            accumulate_unitary(bad)
+        with pytest.raises(MalformedCircuitError):
+            source_columns(bad)
 
 
 def test_circuit_json_round_trip():
