@@ -50,7 +50,7 @@ from .errors import (
 )
 from .gaussian import quad_to_complex, state_covariance
 from .kernels import run_selftest
-from .lattice import accumulate_unitary, build_lattice, sample_random_circuit
+from .lattice import build_lattice, sample_random_circuit, source_columns
 from .samplers import (
     BlockApproxSampler,
     ChainRuleEngine,
@@ -211,6 +211,8 @@ def validate(args) -> tuple[dict, list[str]]:
     n_samples = args.samples if args.samples is not None else _DEFAULT_SAMPLES[mode]
     if n_samples < 1:
         problems.append("--samples must be >= 1")
+    elif n_samples < 2 and mode == "diagnose-walk":
+        problems.append("--samples must be >= 2 for diagnose-walk")
 
     seed = args.seed
     if seed is None:
@@ -298,8 +300,8 @@ def _run_sampling(config: dict) -> str:
         draw = BlockApproxSampler(circuit, lattice, r, policy).sample
         sampler_name = "approx"
     else:
-        unitary = accumulate_unitary(circuit)
-        draw = lambda rng: distinguishable_fock_sample(unitary, lattice, rng)
+        columns = source_columns(circuit)
+        draw = lambda rng: distinguishable_fock_sample(columns, lattice, rng)
         sampler_name = "distinguishable"
 
     seed = config["seed"]
@@ -334,7 +336,7 @@ def _run_leakage(config: dict) -> str:
     rows = []
     for index in range(config["n_samples"]):
         circuit = sample_random_circuit(lattice, config["depth"], rng)
-        report = leakage_rate(accumulate_unitary(circuit), lattice, config["depth"])
+        report = leakage_rate(source_columns(circuit), lattice, config["depth"])
         row = {"circuit": index, "eta_max": report.eta_max, "bound": report.bound}
         row.update(zip(eta_cols, report.per_source_eta))
         rows.append(row)

@@ -38,13 +38,14 @@ import numpy as np
 from . import _moments
 from .errors import SizeCapError
 from .gaussian import (
+    QuadCovariance,
+    _squeezed_covariance,
     a_matrix,
     block_approx_covariance,
     fidelity,
     frobenius_diff,
     infidelity_bound,
     quad_to_complex,
-    state_covariance,
     tvd_bound,
     x_norm_bound,
     SMALL_X_THRESHOLD,
@@ -54,7 +55,7 @@ from .lattice import (
     Circuit,
     LatticeSpec,
     _mix_rows,
-    accumulate_unitary,
+    _source_cols,
     brickwork_pairs,
 )
 from .samplers import TruncationPolicy, _general_prob, _logdet_q
@@ -334,9 +335,7 @@ def _dp_enumerate(
     out_probs = []
     last_forms = mode_forms[m - 1]
     for t, (cblock, pblock) in sorted(levels.items()):
-        prefix_fact = _FACT[pblock].prod(axis=1) if pblock.shape[1] else np.ones(
-            pblock.shape[0]
-        )
+        prefix_fact = _FACT[pblock].prod(axis=1)  # ones when no prefix mode
         for c in range(0, min(mode_cap, budget - t) + 1):
             top = ppp * (t + c)
             w = tabs.weights(top).astype(complex)
@@ -382,13 +381,11 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
     a = am.matrix
     norm = math.exp(-0.5 * _logdet_q(sigma.matrix))
     scale = np.abs(a).max()
-    if scale == 0.0:
-        return Distribution(np.zeros((1, m), dtype=np.int16), np.array([norm]))
     off = max(np.abs(a[:m, m:]).max(), np.abs(a[m:, :m]).max())
     if off <= 1e-10 * max(1.0, scale):
         factor = takagi_factor(a[:m, :m])
         if factor.shape[1] == 0:
-            # rounding noise above exact zero but below the factor tolerance
+            # vacuum, or rounding noise below the factor tolerance
             return Distribution(np.zeros((1, m), dtype=np.int16), np.array([norm]))
         if factor.shape[1] <= LOW_RANK_COLUMN_CAP:
             _dp_guard(m, budget, 1, factor.shape[1])
@@ -435,25 +432,9 @@ def enumerate_fock_distribution(unitary: np.ndarray, lattice: LatticeSpec) -> Di
 
     Every outcome with total N gets ``|Per(U_sub)|^2 / prod n_j!`` where
     ``U_sub`` repeats output row j ``n_j`` times against the source
-    columns.  Mass sums to one.
+    columns; ``unitary`` is the full ``U`` or those columns alone.
     """
-    n = lattice.n_sources
-    m = lattice.n_modes
-    if n > FOCK_ORACLE_MAX_SOURCES or m > FOCK_ORACLE_MAX_MODES:
-        raise SizeCapError(
-            f"single-photon oracle capped at {FOCK_ORACLE_MAX_SOURCES} photons / "
-            f"{FOCK_ORACLE_MAX_MODES} modes (got {n}, {m})"
-        )
-    unitary = np.asarray(unitary)
-    cols = np.asarray(lattice.sources, dtype=int)
-    comps = _moments._compositions(n, m)
-    probs = np.empty(comps.shape[0])
-    arange = np.arange(m)
-    for idx, comp in enumerate(comps):
-        rows = np.repeat(arange, comp)
-        per = permanent(unitary[np.ix_(rows, cols)])
-        probs[idx] = abs(per) ** 2 / _FACT[comp].prod()
-    return Distribution(comps.astype(np.int16), probs)
+    return _fock_oracle(unitary, lattice, "abs2")
 
 
 def enumerate_distinguishable_distribution(
@@ -461,27 +442,33 @@ def enumerate_distinguishable_distribution(
 ) -> Distribution:
     """Outcome table with photons treated as distinguishable particles.
 
-    Identical support to :func:`enumerate_fock_distribution` but the
-    weight is the permanent of ``|U|^2`` — no interference terms.  This
-    is the distribution :func:`~blsampler.samplers.distinguishable_fock_sample`
-    draws from.
+    Identical support and input to :func:`enumerate_fock_distribution`
+    but the weight is the permanent of ``|U|^2`` — no interference terms.
+    This is the distribution
+    :func:`~blsampler.samplers.distinguishable_fock_sample` draws from.
     """
-    n = lattice.n_sources
-    m = lattice.n_modes
+    return _fock_oracle(unitary, lattice, "real")
+
+
+def _fock_oracle(unitary, lattice: LatticeSpec, value: str) -> Distribution:
+    """Each N-photon outcome's ``|Per(C)|^2`` (``value="abs2"``) or
+    ``Per(|C|^2)`` (``"real"``) over ``prod n_j!``, where ``C`` repeats
+    row j of the source columns ``n_j`` times."""
+    n, m = lattice.n_sources, lattice.n_modes
     if n > FOCK_ORACLE_MAX_SOURCES or m > FOCK_ORACLE_MAX_MODES:
         raise SizeCapError(
             f"single-photon oracle capped at {FOCK_ORACLE_MAX_SOURCES} photons / "
             f"{FOCK_ORACLE_MAX_MODES} modes (got {n}, {m})"
         )
-    weights = np.abs(np.asarray(unitary)) ** 2
-    cols = np.asarray(lattice.sources, dtype=int)
+    cols = _source_cols(unitary, lattice)
+    if value != "abs2":
+        cols = np.abs(cols) ** 2
     comps = _moments._compositions(n, m)
     probs = np.empty(comps.shape[0])
-    arange = np.arange(m)
     for idx, comp in enumerate(comps):
-        rows = np.repeat(arange, comp)
-        per = permanent(weights[np.ix_(rows, cols)])
-        probs[idx] = max(per.real, 0.0) / _FACT[comp].prod()
+        per = permanent(cols[np.repeat(np.arange(m), comp)])
+        raw = abs(per) ** 2 if value == "abs2" else max(per.real, 0.0)
+        probs[idx] = raw / _FACT[comp].prod()
     return Distribution(comps.astype(np.int16), probs)
 
 
@@ -508,13 +495,14 @@ def leakage_bound(dim: int, edge: int, depth: int) -> float:
 def leakage_rate(
     unitary: np.ndarray, lattice: LatticeSpec, depth: int | None = None
 ) -> LeakageReport:
-    """Measured per-source leakage: column weight outside the home block."""
-    unitary = np.asarray(unitary)
+    """Measured per-source leakage of the full ``U`` or its source columns:
+    column weight outside the home block."""
+    cols = _source_cols(unitary, lattice)
     etas = []
-    for modes, src in zip(lattice.sublattices, lattice.sources):
+    for b, modes in enumerate(lattice.sublattices):
         outside = np.ones(lattice.n_modes, dtype=bool)
         outside[np.asarray(modes, dtype=int)] = False
-        etas.append(float((np.abs(unitary[outside, src]) ** 2).sum()))
+        etas.append(float((np.abs(cols[outside, b]) ** 2).sum()))
     bound = None if depth is None else leakage_bound(lattice.dim, lattice.edge, depth)
     return LeakageReport(
         per_source_eta=tuple(etas),
@@ -552,8 +540,8 @@ def random_walk_profile(
     source: int | None = None,
 ) -> WalkProfile:
     """Monte-Carlo mean of ``|U_{j,s}|^2`` against the averaging-map law."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    if n_trials < 2:
+        raise ValueError("n_trials must be >= 2 (stderr needs two trials)")
     if dim == 1:
         grid_shape: tuple[int, ...] = (n_modes,)
     else:
@@ -616,14 +604,15 @@ def fock_error_bound(
 ) -> FockErrorReport:
     """Distance bound between exact and distinguishable Fock sampling.
 
-    ``C_i = sum_j |U_{j,s_i}| (sum_{k != i} |U_{j,s_k}|)`` measures how
-    much source i's amplitude overlaps the other sources'; the closed
-    form ``((c+1)^N - N c - 1)/2`` with ``c = max_i C_i`` bounds the
-    total-variation distance.  The surrogate replaces the measured
-    overlap with its leakage-rate bound ``2 sqrt(eta k N^(gamma+1))``.
+    ``C_i = sum_j |U_{j,s_i}| (sum_{k != i} |U_{j,s_k}|)``, over the full
+    ``U`` or its source columns, measures how much source i's amplitude
+    overlaps the other sources'; the closed form ``((c+1)^N - N c - 1)/2``
+    with ``c = max_i C_i`` bounds the total-variation distance.  The
+    surrogate replaces the measured overlap with its leakage-rate bound
+    ``2 sqrt(eta k N^(gamma+1))``.
     """
-    unitary = np.asarray(unitary)
-    cols = np.abs(unitary[:, np.asarray(lattice.sources, dtype=int)])
+    columns = _source_cols(unitary, lattice)
+    cols = np.abs(columns)
     row_sums = cols.sum(axis=1)
     c_values = tuple(
         float((cols[:, i] * (row_sums - cols[:, i])).sum())
@@ -631,7 +620,7 @@ def fock_error_bound(
     )
     n = lattice.n_sources
     c_max = max(c_values)
-    leak = leakage_rate(unitary, lattice, depth)
+    leak = leakage_rate(columns, lattice, depth)
     surrogate_c = 2.0 * math.sqrt(
         leak.eta_max * lattice.k_scale * n ** (lattice.gamma_scale + 1.0)
     )
@@ -655,19 +644,20 @@ def theorem_bound_report(
 ) -> dict:
     """Full approximation-error chain on one concrete instance.
 
-    Measures the leakage, evaluates each analytic link (covariance-
-    difference bound from leakage, infidelity bound, distance bound) on
-    the measured quantities, and — when a policy is given and the
-    instance is small enough — enumerates both distributions to report
-    the true table distance alongside the bounds.  Enumeration budgets
+    The circuit is replayed once, into the source columns that give the
+    leakage, the output covariance and the blocks.  Measures the leakage,
+    evaluates each analytic link (covariance-difference bound from
+    leakage, infidelity bound, distance bound) on the measured
+    quantities, and — when a policy is given and the instance is small
+    enough — enumerates both distributions to report the true table
+    distance alongside the bounds.  Enumeration budgets
     are clamped to ``enumerate_budget_cap``; the mass left outside the
     clamped tables is charged to ``tvd_upper``, so the reported upper
     bound stays rigorous.
     """
-    unitary = accumulate_unitary(circuit)
-    leak = leakage_rate(unitary, lattice, circuit.depth)
-    v_out = state_covariance(circuit, lattice, squeezing)
     blocks = block_approx_covariance(circuit, lattice, squeezing)
+    leak = leakage_rate(blocks.columns, lattice, circuit.depth)
+    v_out = QuadCovariance(_squeezed_covariance(blocks.columns, squeezing))
     v_a = blocks.assemble()
     x_measured = frobenius_diff(v_out, v_a)
     n = lattice.n_sources

@@ -169,6 +169,8 @@ def _squeezed_covariance(columns: np.ndarray, squeezing: float) -> np.ndarray:
     ``u`` and ``w`` realify ``U[:, s]`` and ``i U[:, s]``, the images of
     the source's ``x`` and ``p``; a row subset gives that reduced state.
     """
+    if squeezing < 0:
+        raise ValueError(f"squeezing must be >= 0, got {squeezing}")
     x = np.empty((2 * columns.shape[0], columns.shape[1]))
     x[0::2], x[1::2] = columns.real, columns.imag
     p = np.empty_like(x)
@@ -184,8 +186,6 @@ def state_covariance(
     circuit: Circuit, lattice: LatticeSpec, squeezing: float
 ) -> QuadCovariance:
     """Output covariance of the circuit on the squeezed-source input."""
-    if squeezing < 0:
-        raise ValueError(f"squeezing must be >= 0, got {squeezing}")
     return QuadCovariance(_squeezed_covariance(source_columns(circuit), squeezing))
 
 

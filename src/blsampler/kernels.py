@@ -20,8 +20,6 @@ updates, capped at dimension 14.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _moments

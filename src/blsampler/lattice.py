@@ -278,7 +278,27 @@ def source_columns(circuit: Circuit) -> np.ndarray:
     sources]`` bit for bit.
     """
     eye = np.eye(circuit.n_modes, dtype=complex)
-    return _apply_gates(circuit, eye[:, list(circuit.lattice.sources)])
+    return _apply_gates(circuit, _source_cols(eye, circuit.lattice))
+
+
+def _source_cols(u, lattice: LatticeSpec) -> np.ndarray:
+    """``U[:, sources]`` of the ``M x M`` unitary; ``M x N`` source columns
+    pass unchanged, and any other shape raises ``ValueError``.
+
+    A square input is not ambiguous: ``M == N`` only when ``edge == 1``,
+    and then :func:`build_lattice` puts the sources at modes ``0..M-1`` in
+    order, so the slice is the identity.
+    """
+    u = np.asarray(u)
+    m, n = lattice.n_modes, lattice.n_sources
+    if u.shape == (m, m):
+        return u[:, list(lattice.sources)]
+    if u.shape == (m, n):
+        return u
+    raise ValueError(
+        f"expected the {m}x{m} unitary or its {m}x{n} source columns, "
+        f"got shape {u.shape}"
+    )
 
 
 # At most this many entries of ``u`` are gathered per row set in one

@@ -37,15 +37,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _moments
-from .errors import SamplingError, SizeCapError, UnsupportedRankError
+from .errors import SamplingError, SizeCapError
 from .gaussian import (
     BlockApproxCovariance,
     ComplexCovariance,
     a_matrix,
     reduce_complex,
 )
-from .kernels import HAFNIAN_DIM_CAP, LOW_RANK_COLUMN_CAP, hafnian_general, takagi_factor
-from .lattice import Circuit, LatticeSpec, source_columns
+from .kernels import (
+    HAFNIAN_DIM_CAP,
+    LOW_RANK_COLUMN_CAP,
+    hafnian_general,
+    hafnian_low_rank,
+    repeat_rows_cols,
+    takagi_factor,
+)
+from .lattice import Circuit, LatticeSpec, _source_cols, source_columns
 
 __all__ = [
     "TruncationPolicy",
@@ -133,49 +140,29 @@ def _logdet_q(sigma: np.ndarray) -> float:
     return float(logdet)
 
 
-def _moment_prob(
-    factor: np.ndarray, counts: np.ndarray, norm: float
-) -> float:
-    """``Haf(A_n) * norm / prod(n_j!)`` through the moment expansion."""
-    n_modes = counts.shape[0]
-    tabs = _moments.tables(factor.shape[1])
-    coeffs = np.ones(1, dtype=complex)
-    degree = 0
-    for j in range(n_modes):
-        for _ in range(int(counts[j])):
-            coeffs = tabs.multiply_linear(coeffs, degree, factor[j])
-            coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[n_modes + j])
-            degree += 2
-    haf = tabs.moment(coeffs, degree).real
+def _factorials(counts) -> float:
+    """``prod_j n_j!`` as a float, multiplied in mode order."""
     fact = 1.0
     for c in counts:
         fact *= math.factorial(int(c))
-    return max(haf, 0.0) * norm / fact
+    return fact
 
 
 def _general_prob(a: np.ndarray, counts: np.ndarray, norm: float) -> float:
     """Same probability through the reference hafnian (no rank limit)."""
-    n_modes = counts.shape[0]
-    single = np.repeat(np.arange(n_modes), counts.astype(int))
-    idx = np.concatenate([single, single + n_modes])
-    if idx.shape[0] > HAFNIAN_DIM_CAP:
-        raise SizeCapError(
-            f"outcome needs a {idx.shape[0]}-dim hafnian, cap is {HAFNIAN_DIM_CAP}"
-        )
-    haf = hafnian_general(a[np.ix_(idx, idx)]).real
-    fact = 1.0
-    for c in counts:
-        fact *= math.factorial(int(c))
-    return max(haf, 0.0) * norm / fact
+    haf = hafnian_general(repeat_rows_cols(a, counts)).real
+    return max(haf, 0.0) * norm / _factorials(counts)
 
 
 def marginal_prob(sigma: ComplexCovariance, counts) -> float:
     """Probability of the outcome ``counts`` on the state ``sigma``.
 
     ``sigma`` must already be reduced to exactly the modes that
-    ``counts`` describes.  Uses the low-rank moment expansion whenever
-    the state's hafnian matrix has at most ``LOW_RANK_COLUMN_CAP``
-    columns, and the reference hafnian (dimension-capped) otherwise.
+    ``counts`` describes.  ``Haf(A_n) / (prod n_j! sqrt(det Q))`` uses the
+    low-rank hafnian of the factor rows ``j, M + j`` (each pair repeated
+    ``n_j`` times, in mode order) whenever the state's hafnian matrix has
+    at most ``LOW_RANK_COLUMN_CAP`` columns, and the reference hafnian
+    (dimension-capped) otherwise.
     """
     counts = np.asarray(counts, dtype=int)
     if counts.ndim != 1 or counts.shape[0] != sigma.n_modes:
@@ -189,9 +176,12 @@ def marginal_prob(sigma: ComplexCovariance, counts) -> float:
     factor = takagi_factor(am.matrix)
     if factor.shape[1] == 0:
         return norm if counts.sum() == 0 else 0.0
-    if factor.shape[1] <= LOW_RANK_COLUMN_CAP:
-        return _moment_prob(factor, counts, norm)
-    return _general_prob(am.matrix, counts, norm)
+    if factor.shape[1] > LOW_RANK_COLUMN_CAP:
+        return _general_prob(am.matrix, counts, norm)
+    single = np.repeat(np.arange(sigma.n_modes), counts)
+    rows = np.stack([single, single + sigma.n_modes], axis=1).ravel()
+    haf = hafnian_low_rank(factor[rows]).real
+    return max(haf, 0.0) * norm / _factorials(counts)
 
 
 class ChainRuleEngine:
@@ -279,9 +269,8 @@ class ChainRuleEngine:
         tabs = _moments.tables(factor.shape[1])
         coeffs = np.ones(1, dtype=complex)
         degree = 0
-        pfact = 1.0
+        pfact = _factorials(prefix)
         for j, nj in enumerate(prefix):
-            pfact *= math.factorial(int(nj))
             for _ in range(int(nj)):
                 coeffs = tabs.multiply_linear(coeffs, degree, factor[j])
                 coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[k + j])
@@ -446,7 +435,8 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 def distinguishable_fock_sample(
     unitary: np.ndarray, lattice: LatticeSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    """Track each source photon independently through ``|U|^2``.
+    """Track each source photon independently through ``|U|^2`` (the full
+    ``U`` or its source columns).
 
     Photon i starts at source ``s_i`` and lands on mode k with
     probability ``|U_{k, s_i}|^2``; the returned count vector bins the
@@ -454,10 +444,9 @@ def distinguishable_fock_sample(
     permutation-symmetrized single-configuration weights (each outcome's
     orderings accumulate on the same bin), so no permanent is needed.
     """
-    unitary = np.asarray(unitary)
-    cdf = np.cumsum(np.abs(unitary[:, list(lattice.sources)]) ** 2, axis=0)
+    cdf = np.cumsum(np.abs(_source_cols(unitary, lattice)) ** 2, axis=0)
     landed = _inverse_cdf(cdf, rng.random(lattice.n_sources))
-    return np.bincount(landed, minlength=unitary.shape[0])
+    return np.bincount(landed, minlength=lattice.n_modes)
 
 
 def threshold_coarse_grain(counts) -> np.ndarray:

@@ -407,23 +407,26 @@ def test_size_cap_exits_three(tmp_path, capsys):
     assert _stderr_json(capsys)["error"] == "size-cap"
 
 
-@pytest.mark.parametrize("squeezing", ["nan", "inf", "200", "380", "400", "1e308"])
-@pytest.mark.parametrize("mode", ["sample-exact", "sample-approx", "diagnose-bounds"])
-def test_out_of_range_squeezing_fails_cleanly(tmp_path, mode, squeezing):
-    # a separate process, so that warnings and tracebacks reach stderr as
-    # they would for a user
-    args = [
-        "--mode", mode, "--dim", "1", "--sources", "2", "--sublattice-edge", "2",
-        "--depth", "2", "--squeezing", squeezing, "--samples", "2", "--seed", "1",
-        "--out", str(tmp_path / "out"),
-    ]
+def _cli_process(*args):
+    """Run ``bls`` in a separate process, so that warnings and tracebacks
+    reach stderr as they would for a user."""
     src = os.path.dirname(os.path.dirname(blsampler.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("BLS_LOG", None)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "blsampler.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("squeezing", ["nan", "inf", "200", "380", "400", "1e308"])
+@pytest.mark.parametrize("mode", ["sample-exact", "sample-approx", "diagnose-bounds"])
+def test_out_of_range_squeezing_fails_cleanly(tmp_path, mode, squeezing):
+    proc = _cli_process(
+        "--mode", mode, "--dim", "1", "--sources", "2", "--sublattice-edge", "2",
+        "--depth", "2", "--squeezing", squeezing, "--samples", "2", "--seed", "1",
+        "--out", str(tmp_path / "out"),
     )
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     if squeezing in ("nan", "inf"):
@@ -436,6 +439,21 @@ def test_out_of_range_squeezing_fails_cleanly(tmp_path, mode, squeezing):
         assert proc.returncode == 4
     for line in proc.stderr.splitlines():
         json.loads(line)
+
+
+def test_walk_with_one_trial_is_refused_before_any_work(tmp_path):
+    # one trial has no stderr: it once wrote NaN cells, and numpy's
+    # RuntimeWarnings reached stderr as plain text
+    out = tmp_path / "walk.csv"
+    proc = _cli_process(
+        "--mode", "diagnose-walk", "--dim", "1", "--sublattice-edge", "8",
+        "--depth", "3", "--samples", "1", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    errors = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert [e["error"] for e in errors] == ["invalid-config"]
+    assert "--samples must be >= 2 for diagnose-walk" in errors[0]["problems"]
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_four(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import blsampler.lattice
 from blsampler import (
     BeamSplitterGate,
     Circuit,
@@ -16,6 +17,7 @@ from blsampler import (
     block_approx_covariance,
     build_lattice,
     coarse_grain_distribution,
+    distinguishable_fock_sample,
     empirical_distribution,
     enumerate_distinguishable_distribution,
     enumerate_fock_distribution,
@@ -28,6 +30,7 @@ from blsampler import (
     random_walk_profile,
     reduce_complex,
     sample_random_circuit,
+    source_columns,
     state_covariance,
     theorem_bound_report,
     truncation_threshold,
@@ -36,7 +39,15 @@ from blsampler import (
     write_csv,
     write_json,
 )
-from blsampler.gaussian import a_matrix
+from blsampler.gaussian import (
+    SMALL_X_THRESHOLD,
+    a_matrix,
+    fidelity,
+    frobenius_diff,
+    infidelity_bound,
+    tvd_bound,
+    x_norm_bound,
+)
 from blsampler.samplers import _general_prob, _logdet_q
 
 
@@ -489,6 +500,8 @@ def test_walk_profile_validates_inputs():
     with pytest.raises(ValueError):
         random_walk_profile(1, 8, 2, 0, rng)
     with pytest.raises(ValueError):
+        random_walk_profile(1, 8, 2, 1, rng)  # one trial has no stderr
+    with pytest.raises(ValueError):
         random_walk_profile(2, 10, 2, 5, rng)  # 10 modes are not a square
 
 
@@ -597,6 +610,126 @@ def test_theorem_bound_report_skips_enumeration_when_large():
     assert "x_measured" in report
     bare = theorem_bound_report(circ, lat, 0.5)
     assert "tvd_table" not in bare
+
+
+def _three_replay_report(circuit, lattice, squeezing, policy):
+    """The bound report built as it was before one replay fed every part:
+    the full unitary, then the state covariance and the blocks, each from
+    its own replay of the circuit."""
+    unitary = accumulate_unitary(circuit)
+    leak = leakage_rate(unitary, lattice, circuit.depth)
+    v_out = state_covariance(circuit, lattice, squeezing)
+    blocks = block_approx_covariance(circuit, lattice, squeezing)
+    v_a = blocks.assemble()
+    x_measured = frobenius_diff(v_out, v_a)
+    n = lattice.n_sources
+    report = {
+        "dim": lattice.dim,
+        "edge": lattice.edge,
+        "n_sources": n,
+        "n_modes": lattice.n_modes,
+        "depth": circuit.depth,
+        "squeezing": squeezing,
+        "eta_per_source": list(leak.per_source_eta),
+        "eta_max": leak.eta_max,
+        "leakage_bound": leak.bound,
+        "x_norm_bound": x_norm_bound(leak.eta_max, n, squeezing),
+        "x_measured": x_measured,
+        "small_x_valid": bool(x_measured <= SMALL_X_THRESHOLD),
+        "infidelity_measured": 1.0 - fidelity(v_out, v_a),
+        "infidelity_bound": infidelity_bound(x_measured, n, squeezing),
+        "tvd_bound": tvd_bound(x_measured, n, squeezing),
+    }
+    budget = min(int(policy.n_total_max), 16)
+    clamped = TruncationPolicy(
+        policy.epsilon, budget, min(int(policy.n_mode_max), budget)
+    )
+    exact = enumerate_gbs_distribution(quad_to_complex(v_out), clamped)
+    approx = product_distribution(
+        [
+            enumerate_gbs_distribution(quad_to_complex(block), clamped)
+            for block in blocks.blocks
+        ],
+        lattice.sublattices,
+        lattice.n_modes,
+        budget=budget,
+    )
+    report["exact_mass"] = exact.mass
+    report["approx_mass"] = approx.mass
+    report["tvd_table"] = tvd(exact, approx)
+    report["tvd_upper"] = tvd_upper_bound(exact, approx)
+    return report
+
+
+@pytest.mark.parametrize(
+    "dim, n_sources, edge, depth",
+    [(1, 2, 4, 4), (2, 2, 2, 3), (1, 4, 1, 3)],
+    ids=["d1", "d2", "edge1"],
+)
+def test_theorem_bound_report_replays_the_circuit_once(
+    monkeypatch, dim, n_sources, edge, depth
+):
+    lat = build_lattice(dim, n_sources, edge)
+    circ = sample_random_circuit(lat, depth, np.random.default_rng(29))
+    policy = truncation_threshold(n_sources, 0.5, epsilon=1e-6)
+    want = _three_replay_report(circ, lat, 0.5, policy)
+    replays = []
+    apply_gates = blsampler.lattice._apply_gates
+
+    def counted(circuit, u):
+        replays.append(u.shape)
+        return apply_gates(circuit, u)
+
+    monkeypatch.setattr("blsampler.lattice._apply_gates", counted)
+    report = theorem_bound_report(circ, lat, 0.5, policy=policy)
+    assert replays == [(lat.n_modes, lat.n_sources)]
+    assert report == want
+
+
+# ------------------------------------------- the full U or its source columns
+
+
+def _draws(u, lat):
+    rngs = [np.random.default_rng([7, i]) for i in range(50)]
+    return np.array([distinguishable_fock_sample(u, lat, rng) for rng in rngs])
+
+
+_READERS = {
+    "distinguishable_fock_sample": _draws,
+    "leakage_rate": lambda u, lat: leakage_rate(u, lat, 3),
+    "fock_error_bound": lambda u, lat: fock_error_bound(u, lat, 3),
+    "enumerate_fock_distribution": enumerate_fock_distribution,
+    "enumerate_distinguishable_distribution": enumerate_distinguishable_distribution,
+}
+_LATTICES = pytest.mark.parametrize(
+    "dim, n_sources, edge", [(1, 3, 3), (2, 2, 2), (1, 4, 1)], ids=["d1", "d2", "edge1"]
+)
+
+
+@_LATTICES
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_readers_take_the_unitary_or_its_source_columns(reader, dim, n_sources, edge):
+    lat = build_lattice(dim, n_sources, edge)
+    circ = sample_random_circuit(lat, 3, np.random.default_rng(31))
+    full = _READERS[reader](accumulate_unitary(circ), lat)
+    cols = _READERS[reader](source_columns(circ), lat)
+    if isinstance(full, Distribution):
+        assert np.array_equal(full.counts, cols.counts)
+        assert np.array_equal(full.probs, cols.probs)
+    elif isinstance(full, np.ndarray):
+        assert np.array_equal(full, cols)
+    else:
+        assert full == cols
+
+
+@_LATTICES
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_readers_reject_other_shapes(reader, dim, n_sources, edge):
+    lat = build_lattice(dim, n_sources, edge)
+    m, n = lat.n_modes, lat.n_sources
+    for shape in [(m, n + 1), (m + 1, m + 1)]:
+        with pytest.raises(ValueError, match="source columns"):
+            _READERS[reader](np.zeros(shape, dtype=complex), lat)
 
 
 # ----------------------------------------------------------------- writers

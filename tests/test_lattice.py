@@ -19,6 +19,7 @@ from blsampler import (
     sample_random_circuit,
     source_columns,
 )
+from blsampler.lattice import _source_cols
 
 
 # ---------------------------------------------------------------- geometry
@@ -138,6 +139,32 @@ def test_source_columns_are_the_unitary_source_columns(dim, edge):
     assert cols.shape == (lat.n_modes, lat.n_sources)
     want = accumulate_unitary(circ)[:, list(lat.sources)]
     assert np.abs(cols - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "dim, n_sources, edge", [(1, 3, 3), (2, 2, 2), (1, 4, 1)], ids=["d1", "d2", "edge1"]
+)
+def test_source_cols_slices_the_unitary_and_passes_columns(dim, n_sources, edge):
+    lat = build_lattice(dim, n_sources, edge)
+    circ = sample_random_circuit(lat, 3, np.random.default_rng(14))
+    u, cols = accumulate_unitary(circ), source_columns(circ)
+    assert np.array_equal(_source_cols(u, lat), cols)
+    assert np.array_equal(_source_cols(cols, lat), cols)
+    if edge > 1:
+        assert _source_cols(cols, lat) is cols
+    else:
+        # M == N: the sources are modes 0..M-1 in order, so slicing is the identity
+        assert lat.sources == tuple(range(lat.n_modes))
+        assert np.array_equal(_source_cols(u, lat), u)
+
+
+@pytest.mark.parametrize("dim, n_sources, edge", [(1, 3, 3), (2, 2, 2), (1, 4, 1)])
+def test_source_cols_rejects_other_shapes(dim, n_sources, edge):
+    lat = build_lattice(dim, n_sources, edge)
+    m, n = lat.n_modes, lat.n_sources
+    for shape in [(m, n + 1), (m + 1, m + 1), (m + 1, n), (m,), (m, m, 1)]:
+        with pytest.raises(ValueError, match="source columns"):
+            _source_cols(np.zeros(shape, dtype=complex), lat)
 
 
 def _gate_by_gate(circuit, u):

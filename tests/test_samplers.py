@@ -1,5 +1,6 @@
 """Samplers: truncation policy, marginals, chain rule, blocks, single photons."""
 
+import itertools
 import math
 
 import numpy as np
@@ -135,6 +136,23 @@ def test_chain_rule_prefix_probabilities_match_marginals():
             reduce_complex(sigma, list(range(len(prefix)))), prefix
         )
         assert prob == pytest.approx(direct, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("n_sources, edge", [(1, 3), (2, 2)])
+def test_marginal_prob_equals_every_sweep_entry(n_sources, edge):
+    # marginal_prob multiplies the same forms in the same order as the
+    # engine's incremental sweep, so every entry agrees bit for bit
+    lat, sigma = _pure_sigma(1, n_sources, edge, 3, 0.5, 41)
+    engine = ChainRuleEngine(sigma, TruncationPolicy(1e-6, 16, 8))
+    checked = 0
+    for k in range(1, lat.n_modes + 1):
+        reduced = reduce_complex(sigma, list(range(k)))
+        for prefix in itertools.product(range(3), repeat=k - 1):
+            joints = engine.conditional_joints(prefix, None)
+            for n, joint in enumerate(joints):
+                assert marginal_prob(reduced, prefix + (n,)) == joint, (prefix, n)
+            checked += joints.shape[0]
+    assert checked == 9 * sum(3**j for j in range(lat.n_modes))
 
 
 def test_exact_sampler_vacuum_is_all_zeros():
