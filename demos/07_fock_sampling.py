@@ -16,9 +16,9 @@ import numpy as np
 from blsampler import (
     BeamSplitterGate,
     Circuit,
+    DistinguishableFockSampler,
     accumulate_unitary,
     build_lattice,
-    distinguishable_fock_sample,
     empirical_distribution,
     enumerate_distinguishable_distribution,
     enumerate_fock_distribution,
@@ -60,6 +60,7 @@ print("== the sampler draws from the distinguishable table ==")
 circ = sample_random_circuit(lat, 3, np.random.default_rng(12))
 u = accumulate_unitary(circ)
 rng = np.random.default_rng(13)
-samples = np.array([distinguishable_fock_sample(u, lat, rng) for _ in range(20_000)])
+sampler = DistinguishableFockSampler(u, lat)
+samples = np.array([sampler.sample(rng) for _ in range(20_000)])
 gap = tvd(empirical_distribution(samples), enumerate_distinguishable_distribution(u, lat))
 print(f"TVD(20k draws, enumerated table) = {gap:.4f}  (sampling noise only)")

@@ -9,10 +9,14 @@ degree-indexed tables that make (a) multiplying a homogeneous polynomial
 by a linear form and (b) extracting the Gaussian moment both single
 vectorized gathers.
 
-Exponent vectors of degree ``g`` are kept in lexicographic order; only
-the index maps (``comp - e_r`` per variable) and the moment weights are
-retained after construction.  Tables grow on demand and are cached per
-variable count for the lifetime of the process.
+Exponent vectors of degree ``g`` are kept in lexicographic order.  Per
+variable ``r`` a table keeps the index pair (``dst``, ``src``): the
+degree-``g`` vectors with ``comp[r] >= 1`` and their ``comp - e_r`` at
+degree ``g - 1``, each stored as a ``slice`` where it is one contiguous
+run (always for ``src``, which covers the whole lower degree in order,
+and for ``dst`` with one or two variables).  Only these pairs and the
+moment weights are retained after construction.  Tables grow on demand
+and are cached per variable count for the lifetime of the process.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ import threading
 
 import numpy as np
 
-_MAX_DEGREE = 512  # packing limit; far beyond any reachable budget
+# Packing limit: every exponent must stay below it.  Nothing checks it, and
+# reachable photon budgets pass it (ROADMAP item 1).
+_MAX_DEGREE = 512
 
 # Double factorials of odd numbers: _ODD_DFACT[k] = (2k - 1)!!.  Capped at
-# 128 entries: 253!! is still finite in float64, and no supported photon
-# budget comes near exponent 254 on a single variable (an IndexError here
-# beats a silent inf).
+# 128 entries: 253!! is still finite in float64, and an IndexError at
+# exponent 256 on a single variable beats a silent inf (ROADMAP item 1
+# covers the budgets that reach it).
 _ODD_DFACT = np.cumprod(np.concatenate(([1.0], np.arange(1, 256, 2, dtype=float))))
 
 
@@ -53,6 +59,14 @@ def _compositions(degree: int, n_vars: int) -> np.ndarray:
     return np.vstack(parts)
 
 
+def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
+    """A non-empty ascending index array as a ``slice`` when it is one
+    unit-stride run."""
+    if (np.diff(idx) == 1).all():
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
+
+
 class MomentTables:
     """Degree-indexed shift maps and moment weights for ``n_vars`` variables."""
 
@@ -61,7 +75,7 @@ class MomentTables:
             raise ValueError(f"n_vars must be >= 1, got {n_vars}")
         self.n_vars = n_vars
         self._keys: list[np.ndarray] = []
-        self._shift: list[tuple[np.ndarray, ...]] = []
+        self._shift: list[tuple[tuple, ...]] = []  # per degree: (dst, src) per variable
         self._weights: list[np.ndarray] = []
         self._grow_lock = threading.Lock()
         self.ensure(0)
@@ -89,22 +103,18 @@ class MomentTables:
             comps = _compositions(g, self.n_vars)
             keys = self._pack(comps)  # lexicographic comps => ascending keys
             if g == 0:
-                shift = tuple(
-                    np.full(1, -1, dtype=np.int64) for _ in range(self.n_vars)
-                )
+                shift = ()  # no lower degree; never read
             else:
                 prev = self._keys[g - 1]
-                maps = []
+                pairs = []
                 stride = 1
                 for r in range(self.n_vars - 1, -1, -1):
-                    valid = comps[:, r] >= 1
-                    target = keys - stride
-                    pos = np.searchsorted(prev, target)
-                    pos[~valid] = -1
-                    maps.append(pos)
+                    dst = np.flatnonzero(comps[:, r] >= 1)
+                    src = np.searchsorted(prev, keys[dst] - stride)
+                    pairs.append((_as_slice(dst), _as_slice(src)))
                     stride *= _MAX_DEGREE
-                maps.reverse()
-                shift = tuple(maps)
+                pairs.reverse()
+                shift = tuple(pairs)
             even = (comps % 2 == 0).all(axis=1)
             weights = np.zeros(comps.shape[0])
             if even.any():
@@ -133,9 +143,8 @@ class MomentTables:
         for r in range(self.n_vars):
             if form[r] == 0:
                 continue
-            src = self._shift[degree + 1][r]
-            valid = src >= 0
-            out[..., valid] += form[r] * coeffs[..., src[valid]]
+            dst, src = self._shift[degree + 1][r]
+            out[..., dst] += form[r] * coeffs[..., src]
         return out
 
     def multiply_linear_adjoint(
@@ -144,7 +153,7 @@ class MomentTables:
         """Adjoint of :meth:`multiply_linear`: pulls a weight vector at
         ``degree`` back to ``degree - 1`` so that
         ``w . (poly * form) == adjoint(w) . poly``.  For each variable the
-        index map is injective, so plain fancy-index accumulation is safe.
+        index pair is injective, so plain fancy-index accumulation is safe.
         """
         if degree < 1:
             raise ValueError("adjoint needs degree >= 1")
@@ -153,9 +162,8 @@ class MomentTables:
         for r in range(self.n_vars):
             if form[r] == 0:
                 continue
-            src = self._shift[degree][r]
-            valid = src >= 0
-            out[src[valid]] += form[r] * w[valid]
+            dst, src = self._shift[degree][r]
+            out[src] += form[r] * w[dst]
         return out
 
     def weights(self, degree: int) -> np.ndarray:

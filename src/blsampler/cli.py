@@ -54,7 +54,7 @@ from .lattice import build_lattice, sample_random_circuit, source_columns
 from .samplers import (
     BlockApproxSampler,
     ChainRuleEngine,
-    distinguishable_fock_sample,
+    DistinguishableFockSampler,
     threshold_coarse_grain,
     truncation_threshold,
 )
@@ -300,8 +300,7 @@ def _run_sampling(config: dict) -> str:
         draw = BlockApproxSampler(circuit, lattice, r, policy).sample
         sampler_name = "approx"
     else:
-        columns = source_columns(circuit)
-        draw = lambda rng: distinguishable_fock_sample(columns, lattice, rng)
+        draw = DistinguishableFockSampler(source_columns(circuit), lattice).sample
         sampler_name = "distinguishable"
 
     seed = config["seed"]

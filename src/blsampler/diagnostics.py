@@ -289,6 +289,14 @@ def _dp_guard(n_modes: int, budget: int, forms_per_photon: int, n_vars: int) -> 
         )
 
 
+def _with_count(pblock: np.ndarray, c: int) -> np.ndarray:
+    """``pblock`` with one more int16 column holding ``c``."""
+    out = np.empty((pblock.shape[0], pblock.shape[1] + 1), dtype=np.int16)
+    out[:, :-1] = pblock
+    out[:, -1] = c
+    return out
+
+
 def _dp_enumerate(
     mode_forms: list[list[np.ndarray]],
     n_vars: int,
@@ -305,7 +313,9 @@ def _dp_enumerate(
     stacks every prefix's coefficient vector so a transition is one
     batched gather per form.  The final mode is folded through adjoint
     weight vectors instead of being expanded, which avoids materializing
-    the (much larger) last level.
+    the (much larger) last level: per top total ``T``, one chain starts
+    at the degree-``T`` weights and each adjoint step adds one photon
+    ``c`` to the final mode, so level ``t = T - c`` reads it on the way.
     """
     m = len(mode_forms)
     ppp = len(mode_forms[0])
@@ -325,34 +335,35 @@ def _dp_enumerate(
                     for f in forms:
                         cur = tabs.multiply_linear(cur, degree, f)
                         degree += 1
-                col = np.full((pblock.shape[0], 1), c, dtype=np.int16)
                 next_c.setdefault(t + c, []).append(cur)
-                next_p.setdefault(t + c, []).append(np.hstack([pblock, col]))
+                next_p.setdefault(t + c, []).append(_with_count(pblock, c))
         levels = {
-            t: (np.vstack(next_c[t]), np.vstack(next_p[t])) for t in next_c
+            t: (np.concatenate(next_c[t]), np.concatenate(next_p[t])) for t in next_c
         }
-    out_counts = []
-    out_probs = []
     last_forms = mode_forms[m - 1]
-    for t, (cblock, pblock) in sorted(levels.items()):
-        prefix_fact = _FACT[pblock].prod(axis=1)  # ones when no prefix mode
-        for c in range(0, min(mode_cap, budget - t) + 1):
-            top = ppp * (t + c)
-            w = tabs.weights(top).astype(complex)
-            degree = top
-            for _ in range(c):
+    raw: dict[tuple[int, int], np.ndarray] = {}
+    for top in range(min(budget, max(levels) + mode_cap) + 1):
+        w = tabs.weights(ppp * top).astype(complex)
+        degree = ppp * top
+        for c in range(0, min(mode_cap, top) + 1):
+            if c > 0:
                 for f in last_forms:
                     w = tabs.multiply_linear_adjoint(w, degree, f)
                     degree -= 1
-            vals = cblock @ w
-            if value == "abs2":
-                raw = np.abs(vals) ** 2
-            else:
-                raw = np.maximum(vals.real, 0.0)
-            col = np.full((pblock.shape[0], 1), c, dtype=np.int16)
-            out_counts.append(np.hstack([pblock, col]))
-            out_probs.append(raw * norm / (prefix_fact * _FACT[c]))
-    dist = Distribution(np.vstack(out_counts), np.concatenate(out_probs))
+            if top - c in levels:
+                vals = levels[top - c][0] @ w
+                if value == "abs2":
+                    raw[top - c, c] = np.abs(vals) ** 2
+                else:
+                    raw[top - c, c] = np.maximum(vals.real, 0.0)
+    out_counts = []
+    out_probs = []
+    for t, (_, pblock) in sorted(levels.items()):
+        prefix_fact = _FACT[pblock].prod(axis=1)  # ones when no prefix mode
+        for c in range(0, min(mode_cap, budget - t) + 1):
+            out_counts.append(_with_count(pblock, c))
+            out_probs.append(raw.pop((t, c)) * norm / (prefix_fact * _FACT[c]))
+    dist = Distribution(np.concatenate(out_counts), np.concatenate(out_probs))
     logger.debug(
         "enumerated %d outcomes over %d modes (budget %d), mass %.6g",
         dist.counts.shape[0],

@@ -16,7 +16,7 @@ Three samplers live here:
   ``t = tanh^2 r``, ``c0 = 1 - t (1-q)^2``, ``c1 = -2 t q (1-q)``, ``c2 =
   -t q^2``; given the total, photons land independently by ``|U[j, s]|^2
   / q``.  No hafnian is needed.
-* :func:`distinguishable_fock_sample` — photons tracked one at a time
+* :class:`DistinguishableFockSampler` — photons tracked one at a time
   through ``|U|^2`` columns; binning the independently drawn output modes
   realizes the permutation-symmetrized distinguishable distribution
   without computing any permanent.
@@ -60,6 +60,7 @@ __all__ = [
     "marginal_prob",
     "ChainRuleEngine",
     "BlockApproxSampler",
+    "DistinguishableFockSampler",
     "distinguishable_fock_sample",
     "threshold_coarse_grain",
 ]
@@ -432,10 +433,8 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(hits, cdf.shape[0] - 1)
 
 
-def distinguishable_fock_sample(
-    unitary: np.ndarray, lattice: LatticeSpec, rng: np.random.Generator
-) -> np.ndarray:
-    """Track each source photon independently through ``|U|^2`` (the full
+class DistinguishableFockSampler:
+    """Tracks each source photon independently through ``|U|^2`` (the full
     ``U`` or its source columns).
 
     Photon i starts at source ``s_i`` and lands on mode k with
@@ -443,10 +442,23 @@ def distinguishable_fock_sample(
     landing modes.  Binning independent draws realizes exactly the
     permutation-symmetrized single-configuration weights (each outcome's
     orderings accumulate on the same bin), so no permanent is needed.
+    The routing CDF over the source columns is built once, here.
     """
-    cdf = np.cumsum(np.abs(_source_cols(unitary, lattice)) ** 2, axis=0)
-    landed = _inverse_cdf(cdf, rng.random(lattice.n_sources))
-    return np.bincount(landed, minlength=lattice.n_modes)
+
+    def __init__(self, unitary: np.ndarray, lattice: LatticeSpec):
+        self.lattice = lattice
+        self._route = np.cumsum(np.abs(_source_cols(unitary, lattice)) ** 2, axis=0)
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        landed = _inverse_cdf(self._route, rng.random(self.lattice.n_sources))
+        return np.bincount(landed, minlength=self.lattice.n_modes)
+
+
+def distinguishable_fock_sample(
+    unitary: np.ndarray, lattice: LatticeSpec, rng: np.random.Generator
+) -> np.ndarray:
+    """One draw of :class:`DistinguishableFockSampler` (builds its CDF)."""
+    return DistinguishableFockSampler(unitary, lattice).sample(rng)
 
 
 def threshold_coarse_grain(counts) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import blsampler.diagnostics
 import blsampler.lattice
 from blsampler import (
     BeamSplitterGate,
@@ -402,6 +403,83 @@ def test_enumerate_guard_rejects_oversized_tables():
 
 
 # --------------------------------------------------- Fock enumeration
+
+
+def _unmemoized_dp(mode_forms, n_vars, budget, mode_cap, value, norm):
+    """The enumeration DP as it was: the final-mode fold rebuilds
+    ``adj^c(weights(t + c))`` from scratch for every ``(t, c)``."""
+    from blsampler import _moments
+    from blsampler.diagnostics import _FACT
+
+    m = len(mode_forms)
+    ppp = len(mode_forms[0])
+    tabs = _moments.tables(n_vars)
+    levels = {0: (np.ones((1, 1), dtype=complex), np.zeros((1, 0), dtype=np.int16))}
+    for j in range(m - 1):
+        next_c, next_p = {}, {}
+        for t, (cblock, pblock) in levels.items():
+            cur = cblock
+            degree = ppp * t
+            for c in range(0, min(mode_cap, budget - t) + 1):
+                if c > 0:
+                    for f in mode_forms[j]:
+                        cur = tabs.multiply_linear(cur, degree, f)
+                        degree += 1
+                col = np.full((pblock.shape[0], 1), c, dtype=np.int16)
+                next_c.setdefault(t + c, []).append(cur)
+                next_p.setdefault(t + c, []).append(np.hstack([pblock, col]))
+        levels = {t: (np.vstack(next_c[t]), np.vstack(next_p[t])) for t in next_c}
+    out_counts, out_probs = [], []
+    for t, (cblock, pblock) in sorted(levels.items()):
+        prefix_fact = _FACT[pblock].prod(axis=1)
+        for c in range(0, min(mode_cap, budget - t) + 1):
+            top = ppp * (t + c)
+            w = tabs.weights(top).astype(complex)
+            degree = top
+            for _ in range(c):
+                for f in mode_forms[m - 1]:
+                    w = tabs.multiply_linear_adjoint(w, degree, f)
+                    degree -= 1
+            vals = cblock @ w
+            raw = np.abs(vals) ** 2 if value == "abs2" else np.maximum(vals.real, 0.0)
+            col = np.full((pblock.shape[0], 1), c, dtype=np.int16)
+            out_counts.append(np.hstack([pblock, col]))
+            out_probs.append(raw * norm / (prefix_fact * _FACT[c]))
+    return np.vstack(out_counts), np.concatenate(out_probs)
+
+
+@pytest.mark.parametrize(
+    "state, forms_per_photon, mode_cap",
+    [("exact", 1, None), ("exact", 1, 3), ("block", 2, None), ("block", 2, 2)],
+)
+def test_enumeration_matches_unmemoized_fold(
+    monkeypatch, state, forms_per_photon, mode_cap
+):
+    # the bounds-small config: d=1, N=2, edge 4, depth 4, r=0.5, budget 16
+    lat = build_lattice(1, 2, 4)
+    circ = sample_random_circuit(lat, 4, np.random.default_rng(31))
+    budget = min(truncation_threshold(2, 0.5, epsilon=1e-6).n_total_max, 16)
+    policy = TruncationPolicy(1e-6, budget, budget if mode_cap is None else mode_cap)
+    if state == "exact":
+        cov = state_covariance(circ, lat, 0.5)
+    else:
+        cov = block_approx_covariance(circ, lat, 0.5).blocks[0]  # thinned: mixed
+    calls = []
+    real_dp = blsampler.diagnostics._dp_enumerate
+
+    def recorded(*args):
+        calls.append(args)
+        return real_dp(*args)
+
+    monkeypatch.setattr(blsampler.diagnostics, "_dp_enumerate", recorded)
+    dist = enumerate_gbs_distribution(quad_to_complex(cov), policy)
+    assert len(calls) == 1
+    assert len(calls[0][0][0]) == forms_per_photon  # pure or general path
+    counts, probs = _unmemoized_dp(*calls[0])
+    assert dist.counts.dtype == counts.dtype
+    assert np.array_equal(dist.counts, counts)
+    assert np.array_equal(dist.probs, probs)
+    assert dist.counts.max() == policy.n_mode_max
 
 
 def test_enumerate_fock_identity_is_point_mass():

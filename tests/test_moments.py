@@ -151,3 +151,99 @@ def test_concurrent_table_growth_stays_consistent():
     assert not errors
     # all lists must line up degree-for-degree afterwards
     assert len(tabs._keys) == len(tabs._shift) == len(tabs._weights)
+
+
+def _masked_maps(n_vars, degree):
+    """The old ``-1``-padded shift maps: per variable, the index of
+    ``comp - e_r`` at ``degree - 1`` for every degree-``degree`` comp."""
+    prev = {
+        tuple(c): i
+        for i, c in enumerate(_moments._compositions(degree - 1, n_vars).tolist())
+    }
+    maps = []
+    for r in range(n_vars):
+        pos = []
+        for comp in _moments._compositions(degree, n_vars).tolist():
+            comp[r] -= 1
+            pos.append(prev[tuple(comp)] if comp[r] >= 0 else -1)
+        maps.append(np.array(pos, dtype=np.int64))
+    return maps
+
+
+def _masked_multiply(n_vars, coeffs, degree, form):
+    """The masked kernel as it was: a boolean mask and a gather per call."""
+    maps = _masked_maps(n_vars, degree + 1)
+    out = np.zeros(coeffs.shape[:-1] + (maps[0].shape[0],), dtype=complex)
+    for r in range(n_vars):
+        if form[r] == 0:
+            continue
+        src = maps[r]
+        valid = src >= 0
+        out[..., valid] += form[r] * coeffs[..., src[valid]]
+    return out
+
+
+def _masked_adjoint(n_vars, w, degree, form):
+    maps = _masked_maps(n_vars, degree)
+    out = np.zeros(math.comb(degree - 1 + n_vars - 1, n_vars - 1), dtype=complex)
+    for r in range(n_vars):
+        if form[r] == 0:
+            continue
+        src = maps[r]
+        valid = src >= 0
+        out[src[valid]] += form[r] * w[valid]
+    return out
+
+
+def _kernel_forms(rng, n_vars):
+    dense = rng.normal(size=n_vars) + 1j * rng.normal(size=n_vars)
+    sparse = dense.copy()
+    sparse[::2] = 0  # zero entries take the skip branch
+    return [dense, sparse]
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
+def test_multiply_linear_is_bit_identical_to_masked_kernel(n_vars):
+    rng = np.random.default_rng(100 + n_vars)
+    tabs = _moments.tables(n_vars)
+    for degree in range(11):
+        size = tabs.size(degree)
+        inputs = [
+            rng.normal(size=size) + 1j * rng.normal(size=size),
+            rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size)),
+            rng.normal(size=(2, 2, size)),  # real and twice batched
+        ]
+        for form in _kernel_forms(rng, n_vars):
+            for coeffs in inputs:
+                got = tabs.multiply_linear(coeffs, degree, form)
+                want = _masked_multiply(n_vars, coeffs, degree, form)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
+def test_multiply_linear_adjoint_is_bit_identical_to_masked_kernel(n_vars):
+    rng = np.random.default_rng(200 + n_vars)
+    tabs = _moments.tables(n_vars)
+    for degree in range(1, 11):
+        size = tabs.size(degree)
+        w = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for form in _kernel_forms(rng, n_vars):
+            got = tabs.multiply_linear_adjoint(w, degree, form)
+            assert np.array_equal(got, _masked_adjoint(n_vars, w, degree, form))
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
+def test_shift_pairs_are_slices_where_contiguous(n_vars):
+    tabs = _moments.tables(n_vars)
+    tabs.ensure(10)
+    for degree in range(1, 11):
+        maps = _masked_maps(n_vars, degree)
+        for r, (dst, src) in enumerate(tabs._shift[degree]):
+            # src covers the whole lower degree in order
+            assert src == slice(0, tabs.size(degree - 1))
+            if n_vars <= 2:
+                assert isinstance(dst, slice)
+            valid = maps[r] >= 0
+            assert np.array_equal(np.arange(valid.size)[dst], np.flatnonzero(valid))
+            assert np.array_equal(np.arange(tabs.size(degree - 1))[src], maps[r][valid])

@@ -9,11 +9,13 @@ import pytest
 from blsampler import (
     BlockApproxSampler,
     ChainRuleEngine,
+    DistinguishableFockSampler,
     TruncationPolicy,
     block_approx_covariance,
     build_lattice,
     distinguishable_fock_sample,
     accumulate_unitary,
+    source_columns,
     empirical_distribution,
     enumerate_gbs_distribution,
     marginal_prob,
@@ -315,6 +317,25 @@ def test_fock_sampler_conserves_photon_number():
         counts = distinguishable_fock_sample(u, lat, np.random.default_rng([3, i]))
         assert counts.sum() == 3
         assert counts.shape == (6,)
+
+
+@pytest.mark.parametrize("dim, n_sources, edge", [(1, 3, 4), (2, 2, 3)])
+def test_fock_sampler_reuses_its_routing_cdf(monkeypatch, dim, n_sources, edge):
+    lat = build_lattice(dim, n_sources, edge)
+    circ = sample_random_circuit(lat, 3, np.random.default_rng(44))
+    u = accumulate_unitary(circ)
+    cumsums = []
+    real_cumsum = np.cumsum
+    monkeypatch.setattr(
+        np, "cumsum", lambda *a, **k: cumsums.append(1) or real_cumsum(*a, **k)
+    )
+    sampler = DistinguishableFockSampler(source_columns(circ), lat)
+    draws = [sampler.sample(np.random.default_rng([9, i])) for i in range(50)]
+    assert len(cumsums) == 1  # built once, not per draw
+    for matrix in (u, source_columns(circ)):
+        for i, counts in enumerate(draws):
+            want = distinguishable_fock_sample(matrix, lat, np.random.default_rng([9, i]))
+            assert np.array_equal(counts, want)
 
 
 def test_fock_sampler_identity_circuit_keeps_sources():
