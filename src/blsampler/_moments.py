@@ -6,57 +6,52 @@ the product of linear forms over monomials ``z^m`` reduces that to a sum
 of monomial coefficients weighted by ``prod_r (m_r - 1)!!`` over the
 all-even exponent vectors.  This module maintains, per variable count,
 degree-indexed tables that make (a) multiplying a homogeneous polynomial
-by a linear form and (b) extracting the Gaussian moment both single
-vectorized gathers.
+by a linear form and (b) extracting the Gaussian moment single
+vectorized steps.
 
-Exponent vectors of degree ``g`` are kept in lexicographic order.  Per
-variable ``r`` a table keeps the index pair (``dst``, ``src``): the
-degree-``g`` vectors with ``comp[r] >= 1`` and their ``comp - e_r`` at
-degree ``g - 1``, each stored as a ``slice`` where it is one contiguous
-run (always for ``src``, which covers the whole lower degree in order,
-and for ``dst`` with one or two variables).  Only these pairs and the
-moment weights are retained after construction.  Tables grow on demand
-and are cached per variable count for the lifetime of the process.
+Exponent vectors of degree ``g`` are kept in lexicographic order, the
+order :func:`_compositions` emits.  Adding ``e_r`` to every vector of
+degree ``g - 1`` keeps that order and lands exactly on the degree-``g``
+vectors with ``comp[r] >= 1``.  So multiplying by ``z_r`` moves the whole
+lower degree, in order, onto one ascending row set ``dst``, and a table
+keeps only that ``dst`` per variable (a ``slice`` where it is one
+contiguous run: always for the first variable, and for every variable
+when there are at most two) and the moment weights.  Tables grow on
+demand and are cached per variable count for the lifetime of the process.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 
 import numpy as np
 
-# Packing limit: every exponent must stay below it.  Nothing checks it, and
-# reachable photon budgets pass it (ROADMAP item 1).
-_MAX_DEGREE = 512
+from .errors import SizeCapError
 
-# Double factorials of odd numbers: _ODD_DFACT[k] = (2k - 1)!!.  Capped at
-# 128 entries: 253!! is still finite in float64, and an IndexError at
-# exponent 256 on a single variable beats a silent inf (ROADMAP item 1
-# covers the budgets that reach it).
+# Double factorials of odd numbers: _ODD_DFACT[k] = (2k - 1)!! for
+# k = 0..128, up to 255!! (finite in float64).  A degree-258 row holds
+# exponent 258, one past the end, so ``ensure`` refuses degree >= 258.
 _ODD_DFACT = np.cumprod(np.concatenate(([1.0], np.arange(1, 256, 2, dtype=float))))
 
 
-def even_moment_weights(degree: int) -> np.ndarray:
-    """Weights ``(i-1)!! (g-i-1)!!`` over two variables, zero on odd splits."""
-    w = np.zeros(degree + 1)
-    if degree % 2 == 0:
-        i = np.arange(0, degree + 1, 2)
-        w[i] = _ODD_DFACT[i // 2] * _ODD_DFACT[(degree - i) // 2]
-    return w
-
-
 def _compositions(degree: int, n_vars: int) -> np.ndarray:
-    """All exponent vectors of the given total degree, lexicographic."""
-    if n_vars == 1:
-        return np.array([[degree]], dtype=np.int64)
-    parts = []
-    for first in range(degree + 1):
-        rest = _compositions(degree - first, n_vars - 1)
-        block = np.empty((rest.shape[0], n_vars), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        parts.append(block)
-    return np.vstack(parts)
+    """All exponent vectors of the given total degree, lexicographic.
+
+    Stars and bars: place ``n_vars - 1`` bars among ``degree + n_vars - 1``
+    slots; the exponents are the star counts between consecutive bars.
+    Bar positions taken in lexicographic order give the vectors in
+    lexicographic order.
+    """
+    slots, k = degree + n_vars - 1, n_vars - 1
+    rows = math.comb(slots, k)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), k)),
+        dtype=np.int64,
+        count=rows * k,
+    ).reshape(rows, k)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
 def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
@@ -68,65 +63,55 @@ def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
 
 
 class MomentTables:
-    """Degree-indexed shift maps and moment weights for ``n_vars`` variables."""
+    """Degree-indexed shift rows and moment weights for ``n_vars`` variables."""
 
     def __init__(self, n_vars: int):
         if n_vars < 1:
             raise ValueError(f"n_vars must be >= 1, got {n_vars}")
         self.n_vars = n_vars
-        self._keys: list[np.ndarray] = []
-        self._shift: list[tuple[tuple, ...]] = []  # per degree: (dst, src) per variable
+        self._dst: list[tuple] = []  # per degree: rows of comp + e_r, per variable
         self._weights: list[np.ndarray] = []
         self._grow_lock = threading.Lock()
         self.ensure(0)
-
-    def _pack(self, comps: np.ndarray) -> np.ndarray:
-        keys = np.zeros(comps.shape[0], dtype=np.int64)
-        for r in range(self.n_vars):
-            keys = keys * _MAX_DEGREE + comps[:, r]
-        return keys
 
     def ensure(self, degree: int) -> None:
         """Extend tables so all degrees up to ``degree`` are available.
 
         Growth is serialized: published degrees are append-only and never
-        mutated, so readers need no lock.
+        mutated, so readers need no lock.  Degrees past the double-factorial
+        table raise :class:`SizeCapError`.
         """
-        if len(self._keys) > degree:
+        if len(self._weights) > degree:
             return
+        if degree >= 2 * _ODD_DFACT.size:
+            raise SizeCapError(
+                f"moment tables stop at degree {2 * _ODD_DFACT.size - 1}, "
+                f"got {degree}"
+            )
         with self._grow_lock:
             self._grow(degree)
 
     def _grow(self, degree: int) -> None:
-        while len(self._keys) <= degree:
-            g = len(self._keys)
+        while len(self._weights) <= degree:
+            g = len(self._weights)
             comps = _compositions(g, self.n_vars)
-            keys = self._pack(comps)  # lexicographic comps => ascending keys
-            if g == 0:
-                shift = ()  # no lower degree; never read
-            else:
-                prev = self._keys[g - 1]
-                pairs = []
-                stride = 1
-                for r in range(self.n_vars - 1, -1, -1):
-                    dst = np.flatnonzero(comps[:, r] >= 1)
-                    src = np.searchsorted(prev, keys[dst] - stride)
-                    pairs.append((_as_slice(dst), _as_slice(src)))
-                    stride *= _MAX_DEGREE
-                pairs.reverse()
-                shift = tuple(pairs)
+            dst = ()  # degree 0 has no lower degree; never read
+            if g:
+                dst = tuple(
+                    _as_slice(np.flatnonzero(comps[:, r] >= 1))
+                    for r in range(self.n_vars)
+                )
             even = (comps % 2 == 0).all(axis=1)
             weights = np.zeros(comps.shape[0])
             if even.any():
                 weights[even] = np.prod(_ODD_DFACT[comps[even] // 2], axis=1)
-            # readers gate on len(_keys): publish it last
-            self._shift.append(shift)
+            # readers gate on len(_weights): publish it last
+            self._dst.append(dst)
             self._weights.append(weights)
-            self._keys.append(keys)
 
     def size(self, degree: int) -> int:
         self.ensure(degree)
-        return self._keys[degree].shape[0]
+        return self._weights[degree].shape[0]
 
     def multiply_linear(
         self, coeffs: np.ndarray, degree: int, form: np.ndarray
@@ -138,13 +123,12 @@ class MomentTables:
         """
         self.ensure(degree + 1)
         coeffs = np.asarray(coeffs)
-        out_size = self._keys[degree + 1].shape[0]
+        out_size = self._weights[degree + 1].shape[0]
         out = np.zeros(coeffs.shape[:-1] + (out_size,), dtype=complex)
-        for r in range(self.n_vars):
+        for r, dst in enumerate(self._dst[degree + 1]):
             if form[r] == 0:
                 continue
-            dst, src = self._shift[degree + 1][r]
-            out[..., dst] += form[r] * coeffs[..., src]
+            out[..., dst] += form[r] * coeffs
         return out
 
     def multiply_linear_adjoint(
@@ -152,18 +136,18 @@ class MomentTables:
     ) -> np.ndarray:
         """Adjoint of :meth:`multiply_linear`: pulls a weight vector at
         ``degree`` back to ``degree - 1`` so that
-        ``w . (poly * form) == adjoint(w) . poly``.  For each variable the
-        index pair is injective, so plain fancy-index accumulation is safe.
+        ``w . (poly * form) == adjoint(w) . poly``.  Each variable's ``dst``
+        lists every lower-degree row once, in order, so its pull-back is
+        one gather.
         """
         if degree < 1:
             raise ValueError("adjoint needs degree >= 1")
         self.ensure(degree)
-        out = np.zeros(self._keys[degree - 1].shape[0], dtype=complex)
-        for r in range(self.n_vars):
+        out = np.zeros(self._weights[degree - 1].shape[0], dtype=complex)
+        for r, dst in enumerate(self._dst[degree]):
             if form[r] == 0:
                 continue
-            dst, src = self._shift[degree][r]
-            out[src] += form[r] * w[dst]
+            out += form[r] * w[dst]
         return out
 
     def weights(self, degree: int) -> np.ndarray:

@@ -383,28 +383,25 @@ def test_bounds_json_artifact(tmp_path):
 # --------------------------------------------------------------- failures
 
 
-def test_size_cap_exits_three(tmp_path, capsys):
-    # five squeezers on single-mode blocks exceed every enumeration path
-    code = main(
-        [
-            "--mode",
-            "diagnose-bounds",
-            "--dim",
-            "1",
-            "--sources",
-            "5",
-            "--sublattice-edge",
-            "1",
-            "--depth",
-            "1",
-            "--squeezing",
-            "0.5",
-            "--out",
-            str(tmp_path / "cap.json"),
-        ]
-    )
+@pytest.mark.parametrize(
+    "args",
+    [
+        # five squeezers on single-mode blocks exceed every enumeration path
+        ["--mode", "diagnose-bounds", "--sources", "5", "--sublattice-edge", "1",
+         "--depth", "1", "--squeezing", "0.5"],
+        # a 168-photon budget sweeps to degree 336, past the moment tables
+        ["--mode", "sample-exact", "--sources", "1", "--sublattice-edge", "2",
+         "--depth", "2", "--squeezing", "1.5", "--epsilon", "1e-100",
+         "--samples", "3", "--seed", "1"],
+    ],
+    ids=["enumeration", "moment-degree"],
+)
+def test_size_cap_exits_three(tmp_path, capsys, args):
+    code = main(["--dim", "1", *args, "--out", str(tmp_path / "cap.out")])
     assert code == 3
-    assert _stderr_json(capsys)["error"] == "size-cap"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "size-cap"
 
 
 def _cli_process(*args):

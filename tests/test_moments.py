@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from blsampler import _moments
+from blsampler.errors import SizeCapError
 
 
 def _brute_multiply(poly: dict, form) -> dict:
@@ -23,6 +24,21 @@ def _brute_multiply(poly: dict, form) -> dict:
     return out
 
 
+def _recursive_compositions(degree: int, n_vars: int) -> np.ndarray:
+    """Reference enumerator, kept independent of the module: the recursive
+    lexicographic construction the tables were first built on."""
+    if n_vars == 1:
+        return np.array([[degree]], dtype=np.int64)
+    parts = []
+    for first in range(degree + 1):
+        rest = _recursive_compositions(degree - first, n_vars - 1)
+        block = np.empty((rest.shape[0], n_vars), dtype=np.int64)
+        block[:, 0] = first
+        block[:, 1:] = rest
+        parts.append(block)
+    return np.vstack(parts)
+
+
 def _coeffs_to_dict(tabs, coeffs, degree):
     comps = _moments._compositions(degree, tabs.n_vars)
     return {tuple(c): v for c, v in zip(comps.tolist(), coeffs) if v != 0}
@@ -36,11 +52,28 @@ def test_compositions_count_and_order():
             n_vars,
         )
         assert (comps.sum(axis=1) == degree).all()
-        # packed keys ascending makes searchsorted maps valid
-        keys = np.zeros(comps.shape[0], dtype=np.int64)
-        for r in range(n_vars):
-            keys = keys * _moments._MAX_DEGREE + comps[:, r]
-        assert (np.diff(keys) > 0).all()
+        assert (comps >= 0).all()
+        # strict lexicographic ascent: the first differing exponent rises
+        for lo, hi in zip(comps[:-1].tolist(), comps[1:].tolist()):
+            assert lo < hi
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4, 5])
+def test_compositions_match_recursive_reference(n_vars):
+    for degree in range(13):
+        got = _moments._compositions(degree, n_vars)
+        want = _recursive_compositions(degree, n_vars)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_ensure_refuses_degrees_past_the_double_factorials():
+    tabs = _moments.MomentTables(1)
+    tabs.ensure(257)  # the even row 256 reads the last entry, 255!!
+    assert np.isfinite(tabs.weights(256)).all()
+    with pytest.raises(SizeCapError):
+        tabs.ensure(258)
+    assert tabs.size(257) == 1  # the refusal leaves the tables intact
 
 
 def test_multiply_linear_matches_brute_polynomial():
@@ -121,13 +154,6 @@ def test_moment_via_weights_accessor():
         )
 
 
-def test_even_moment_weights_two_variable_row():
-    w = _moments.even_moment_weights(4)
-    # exponent splits (4,0),(2,2),(0,4) -> 3!!*(-1)!!, 1!!*1!!, (-1)!!*3!!
-    assert np.allclose(w, [3.0, 0.0, 1.0, 0.0, 3.0])
-    assert _moments.even_moment_weights(3).sum() == 0.0
-
-
 def test_concurrent_table_growth_stays_consistent():
     # regression: unsynchronized growth used to misalign the degree lists
     tabs = _moments.MomentTables(3)
@@ -150,7 +176,7 @@ def test_concurrent_table_growth_stays_consistent():
         t.join()
     assert not errors
     # all lists must line up degree-for-degree afterwards
-    assert len(tabs._keys) == len(tabs._shift) == len(tabs._weights)
+    assert len(tabs._dst) == len(tabs._weights) == 24 + 1
 
 
 def _masked_maps(n_vars, degree):
@@ -158,12 +184,12 @@ def _masked_maps(n_vars, degree):
     ``comp - e_r`` at ``degree - 1`` for every degree-``degree`` comp."""
     prev = {
         tuple(c): i
-        for i, c in enumerate(_moments._compositions(degree - 1, n_vars).tolist())
+        for i, c in enumerate(_recursive_compositions(degree - 1, n_vars).tolist())
     }
     maps = []
     for r in range(n_vars):
         pos = []
-        for comp in _moments._compositions(degree, n_vars).tolist():
+        for comp in _recursive_compositions(degree, n_vars).tolist():
             comp[r] -= 1
             pos.append(prev[tuple(comp)] if comp[r] >= 0 else -1)
         maps.append(np.array(pos, dtype=np.int64))
@@ -234,16 +260,16 @@ def test_multiply_linear_adjoint_is_bit_identical_to_masked_kernel(n_vars):
 
 
 @pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
-def test_shift_pairs_are_slices_where_contiguous(n_vars):
+def test_shift_rows_are_slices_where_contiguous(n_vars):
     tabs = _moments.tables(n_vars)
     tabs.ensure(10)
     for degree in range(1, 11):
         maps = _masked_maps(n_vars, degree)
-        for r, (dst, src) in enumerate(tabs._shift[degree]):
-            # src covers the whole lower degree in order
-            assert src == slice(0, tabs.size(degree - 1))
-            if n_vars <= 2:
+        assert len(tabs._dst[degree]) == n_vars
+        for r, dst in enumerate(tabs._dst[degree]):
+            if r == 0 or n_vars <= 2:
                 assert isinstance(dst, slice)
             valid = maps[r] >= 0
             assert np.array_equal(np.arange(valid.size)[dst], np.flatnonzero(valid))
-            assert np.array_equal(np.arange(tabs.size(degree - 1))[src], maps[r][valid])
+            # the implied source is the whole lower degree, in order
+            assert np.array_equal(maps[r][valid], np.arange(tabs.size(degree - 1)))
