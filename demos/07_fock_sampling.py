@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from blsampler import (
-    BeamSplitterGate,
     Circuit,
     DistinguishableFockSampler,
     accumulate_unitary,
@@ -29,7 +28,7 @@ from blsampler import (
 
 print("== the coincidence dip ==")
 lat = build_lattice(1, 2, 1)
-hom = Circuit(lattice=lat, layers=[[BeamSplitterGate((0, 1), math.pi / 4, 0.0)]])
+hom = Circuit(lat, pairs=[[(0, 1)]], angles=[[(math.pi / 4, 0.0)]])
 u = accumulate_unitary(hom)
 exact = enumerate_fock_distribution(u, lat).as_dict()
 dist = enumerate_distinguishable_distribution(u, lat).as_dict()

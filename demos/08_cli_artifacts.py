@@ -63,7 +63,7 @@ print(f"table TVD {report['tvd_table']:.2e} <= bound {report['tvd_bound']:.3f}")
 print()
 print("== errors are machine-readable, exit codes tell the class ==")
 run("--mode", "sample-exact", "--dim", "1")  # missing almost everything
-run("kernels", "selftest")
+run("--mode", "kernels-selftest")
 
 print()
 print("artifacts left in", workdir)

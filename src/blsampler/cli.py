@@ -50,7 +50,7 @@ from .errors import (
 )
 from .gaussian import quad_to_complex, state_covariance
 from .kernels import run_selftest
-from .lattice import build_lattice, sample_random_circuit, source_columns
+from .lattice import MAX_MODE_CELLS, build_lattice, sample_random_circuit, source_columns
 from .samplers import (
     BlockApproxSampler,
     ChainRuleEngine,
@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "circuits and check the approximation bounds that justify the fast "
         "samplers.",
     )
-    parser.add_argument("legacy", nargs="*", help=argparse.SUPPRESS)
     parser.add_argument("--mode", choices=ALL_MODES, help="what to run")
     parser.add_argument("--dim", type=int, help="lattice dimension d >= 1")
     parser.add_argument("--sources", type=int, help="number of sources N >= 1")
@@ -140,14 +139,6 @@ def validate(args) -> tuple[dict, list[str]]:
     """Normalize a parsed command line; collect every violation."""
     problems: list[str] = []
     mode = args.mode
-    legacy = list(args.legacy or [])
-    if legacy == ["kernels", "selftest"]:
-        if mode is None:
-            mode = "kernels-selftest"
-        elif mode != "kernels-selftest":
-            problems.append("positional 'kernels selftest' contradicts --mode")
-    elif legacy:
-        problems.append(f"unrecognized arguments: {' '.join(legacy)}")
     if mode is None:
         problems.append("--mode is required")
         return {}, problems
@@ -155,16 +146,9 @@ def validate(args) -> tuple[dict, list[str]]:
     config: dict = {"mode": mode}
     if mode == "kernels-selftest":
         config["out"] = args.out
-        for name, label in [
-            ("dim", "--dim"),
-            ("sources", "--sources"),
-            ("edge", "--sublattice-edge"),
-            ("depth", "--depth"),
-            ("squeezing", "--squeezing"),
-            ("samples", "--samples"),
-            ("seed", "--seed"),
-        ]:
+        for name in ("dim", "sources", "edge", "depth", "squeezing", "samples", "seed"):
             if getattr(args, name) is not None:
+                label = "--sublattice-edge" if name == "edge" else f"--{name}"
                 problems.append(f"{label} has no effect in kernels-selftest")
         return config, problems
 
@@ -249,6 +233,14 @@ def validate(args) -> tuple[dict, list[str]]:
 
     if mode == "diagnose-walk" and args.sources is None:
         config["n_sources"] = 1
+    # Python ints, so nothing overflows; an edge >= 2 passes the cap well
+    # before numpy's 64 axes, so the exponent stops there.
+    m = config["n_sources"] * config["edge"] ** min(config["dim"], 64)
+    walk = n_samples * m if mode == "diagnose-walk" else 0
+    for label, size in [("N * L^d modes", m), ("depth * M", config["depth"] * m),
+                        ("samples * M walk amplitudes", walk)]:
+        if size > MAX_MODE_CELLS:
+            raise SizeCapError(f"{label} exceeds the cap of {MAX_MODE_CELLS}")
     try:
         lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     except ConfigurationError as exc:
@@ -356,18 +348,11 @@ def _run_walk(config: dict) -> str:
         config["n_samples"],
         np.random.default_rng([config["seed"]]),
     )
-    rows = []
-    for t in range(profile.empirical.shape[0]):
-        for j in range(profile.empirical.shape[1]):
-            rows.append(
-                {
-                    "depth": t,
-                    "mode": j,
-                    "empirical": profile.empirical[t, j],
-                    "stderr": profile.stderr[t, j],
-                    "theory": profile.theory[t, j],
-                }
-            )
+    rows = [
+        {"depth": t, "mode": j, "empirical": profile.empirical[t, j],
+         "stderr": profile.stderr[t, j], "theory": profile.theory[t, j]}
+        for t, j in np.ndindex(profile.empirical.shape)
+    ]
     write_csv(
         config["out"],
         ["depth", "mode", "empirical", "stderr", "theory"],

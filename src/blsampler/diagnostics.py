@@ -54,6 +54,7 @@ from .kernels import LOW_RANK_COLUMN_CAP, permanent, takagi_factor
 from .lattice import (
     Circuit,
     LatticeSpec,
+    _gate_coefficients,
     _mix_rows,
     _source_cols,
     brickwork_pairs,
@@ -579,12 +580,9 @@ def random_walk_profile(
             i, j = pairs[:, 0], pairs[:, 1]
             theta = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
             phi = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
-            c, s = np.cos(theta), np.sin(theta)
-            e = np.exp(1j * phi)
-            _mix_rows(amps.T, i, j, c.T, (e * s).T, (-np.conj(e) * s).T)
-            avg = 0.5 * (profile[i] + profile[j])
-            profile[i] = avg
-            profile[j] = avg
+            c, es, fs = _gate_coefficients(theta, phi)
+            _mix_rows(amps.T, i, j, c.T, es.T, fs.T)
+            profile[i] = profile[j] = 0.5 * (profile[i] + profile[j])
         w = np.abs(amps) ** 2
         empirical[layer + 1] = w.mean(axis=0)
         stderr[layer + 1] = w.std(axis=0, ddof=1) / math.sqrt(n_trials)

@@ -3,10 +3,11 @@
 Geometry of source sublattices, random shallow circuits made of two-mode
 beam splitters, and the resulting mode unitaries.  Mode indices are the
 row-major raveling of a d-dimensional grid obtained by tiling one cube of
-edge ``L`` per source.  A circuit is a list of gate layers; layer ``ell``
-acts along axis ``(ell % 2d) // 2`` and pairs sites starting at coordinate
-offset 1 on the first pass over an axis and offset 0 on the second, so a
-full round of 2d layers couples every bond of the lattice once.
+edge ``L`` per source.  A circuit holds per layer a ``(g, 2)`` array of
+mode pairs and one of ``(theta, phi)`` angles; layer ``ell`` acts along
+axis ``(ell % 2d) // 2`` and pairs sites starting at coordinate offset 1 on
+the first pass over an axis and offset 0 on the second, so a full round of
+2d layers couples every bond of the lattice once.
 
 Gates are ordered within a layer by their lower mode index, and
 :func:`sample_random_circuit` draws each layer's angles as a single
@@ -16,16 +17,16 @@ reproducible from a seed alone.
 :func:`accumulate_unitary` and :func:`source_columns` share one gate loop
 that applies each layer as one vectorized update of the rows it touches
 (a full unitary takes a layer a few gates at a time).  This is exact
-because :meth:`Circuit.validate` guarantees that the gates of one layer
-act on disjoint, in-range modes; every entry equals what gate-by-gate
-application gives, bit for bit.
+because the :class:`Circuit` constructor checks that each layer's gates
+act on disjoint, in-range modes (its arrays are read-only after); every
+entry equals what gate-by-gate application gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .errors import MalformedCircuitError
 
 __all__ = [
     "LatticeSpec",
-    "BeamSplitterGate",
     "Circuit",
     "build_lattice",
     "brickwork_pairs",
@@ -144,6 +144,12 @@ def build_lattice(dim: int, n_sources: int, edge: int) -> LatticeSpec:
     )
 
 
+# The CLI refuses, before any array exists, M, depth * M or walk trials * M
+# above this.  The largest planned depth-threshold runs reach M = 32768 and
+# depth * M = 7.0M (d=1, L=512, D=6865; 28.3M at d=2, L=128, N=2, D=863).
+# At the cap a circuit holds 0.5 GiB of angles, the walk 1.5 GiB of tables.
+MAX_MODE_CELLS = 2**26
+
 _PAIR_CACHE: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
 
@@ -175,47 +181,61 @@ def brickwork_pairs(grid_shape: tuple[int, ...], layer: int) -> np.ndarray:
     return pairs
 
 
-@dataclass(frozen=True)
-class BeamSplitterGate:
-    """A two-mode gate with mixing angle ``theta`` and phase ``phi``."""
+def _read_only(x, dtype) -> np.ndarray:
+    """``x`` as a read-only array (empty: ``(0, 2)``).  Writable input is
+    copied, so no caller can change a checked circuit; read-only is shared."""
+    a = np.asarray(x, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a.reshape(0, 2) if a.size == 0 else a
 
-    modes: tuple[int, int]
-    theta: float
-    phi: float
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    """A depth-ordered list of brickwork gate layers on a lattice."""
+    """Depth-ordered gate layers on a lattice: ``pairs[ell]`` is layer
+    ``ell``'s ``(g, 2)`` int array of modes, ``angles[ell]`` its ``(g, 2)``
+    rows of ``(theta, phi)``, each given as arrays or nested lists.  The
+    constructor checks every layer once (equal layer and gate counts, modes
+    in range, no mode used twice in a layer, so ``i != j``) or raises
+    :class:`MalformedCircuitError`; the stored arrays are read-only.
+    """
 
     lattice: LatticeSpec
-    layers: list[list[BeamSplitterGate]]
-    seed: int | None = field(default=None)
+    pairs: tuple[np.ndarray, ...]
+    angles: tuple[np.ndarray, ...]
+    seed: int | None = None
+
+    def __post_init__(self):
+        m = self.n_modes
+        pairs = tuple(_read_only(p, np.intp) for p in self.pairs)
+        angles = tuple(_read_only(a, float) for a in self.angles)
+        if len(pairs) != len(angles):
+            raise MalformedCircuitError(
+                f"{len(pairs)} layers of pairs, {len(angles)} of angles"
+            )
+        for ell, (p, a) in enumerate(zip(pairs, angles)):
+            if p.shape[1:] != (2,) or a.shape != p.shape:
+                raise MalformedCircuitError(
+                    f"layer {ell}: pairs of shape {p.shape} and angles of shape "
+                    f"{a.shape}, both must be (n_gates, 2)"
+                )
+            if len(p) and (
+                p.min() < 0 or p.max() >= m or np.bincount(p.ravel()).max() > 1
+            ):
+                raise MalformedCircuitError(
+                    f"layer {ell}: gates must act on distinct modes of 0..{m - 1}"
+                )
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "angles", angles)
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.pairs)
 
     @property
     def n_modes(self) -> int:
         return self.lattice.n_modes
-
-    def validate(self) -> None:
-        """Raise :class:`MalformedCircuitError` on structural violations."""
-        m = self.n_modes
-        for ell, layer in enumerate(self.layers):
-            seen: set[int] = set()
-            for gate in layer:
-                i, j = gate.modes
-                if not (0 <= i < m and 0 <= j < m and i != j):
-                    raise MalformedCircuitError(
-                        f"layer {ell}: gate modes {gate.modes} outside 0..{m - 1}"
-                    )
-                if i in seen or j in seen:
-                    raise MalformedCircuitError(
-                        f"layer {ell}: mode reused by gate on {gate.modes}"
-                    )
-                seen.update((i, j))
 
 
 def sample_random_circuit(
@@ -229,17 +249,11 @@ def sample_random_circuit(
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    layers = []
-    for ell in range(depth):
-        pairs = brickwork_pairs(lattice.grid_shape, ell)
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(pairs), 2))
-        layers.append(
-            [
-                BeamSplitterGate((i, j), t, p)
-                for (i, j), (t, p) in zip(pairs.tolist(), angles.tolist())
-            ]
-        )
-    return Circuit(lattice=lattice, layers=layers)
+    pairs = [brickwork_pairs(lattice.grid_shape, ell) for ell in range(depth)]
+    angles = [rng.uniform(0.0, 2.0 * np.pi, size=(len(p), 2)) for p in pairs]
+    for a in angles:
+        a.setflags(write=False)  # so the constructor keeps it without a copy
+    return Circuit(lattice, pairs, angles)
 
 
 def beam_splitter_unitary(theta: float, phi: float) -> np.ndarray:
@@ -252,11 +266,13 @@ def beam_splitter_unitary(theta: float, phi: float) -> np.ndarray:
     return np.array([[c, es], [fs, c]])
 
 
-def _gate_coefficients(theta: float, phi: float) -> tuple[float, complex, complex]:
-    """``(cos t, e^{i p} sin t, -e^{-i p} sin t)``: the entries of one beam splitter."""
-    c, s = math.cos(theta), math.sin(theta)
-    e = complex(math.cos(phi), math.sin(phi))
-    return c, e * s, -e.conjugate() * s
+def _gate_coefficients(theta, phi):
+    """``(cos t, e^{i p} sin t, -e^{-i p} sin t)``, elementwise: the entries
+    of beam splitters, with ``e^{i p}`` built exactly from ``cos p, sin p``."""
+    c, s = np.cos(theta), np.sin(theta)
+    e = np.empty(np.shape(phi), dtype=complex)
+    e.real, e.imag = np.cos(phi), np.sin(phi)
+    return c, e * s, -np.conj(e) * s
 
 
 def accumulate_unitary(circuit: Circuit) -> np.ndarray:
@@ -274,11 +290,13 @@ def source_columns(circuit: Circuit) -> np.ndarray:
     """``U[:, sources]``, shape ``M x N``: where each source's light goes.
 
     Same layer-by-layer loop as :func:`accumulate_unitary`, at
-    ``O(N * gates)``; the columns equal ``accumulate_unitary(circuit)[:,
-    sources]`` bit for bit.
+    ``O(N * gates)`` time and ``O(M * N)`` memory; the columns equal
+    ``accumulate_unitary(circuit)[:, sources]`` bit for bit.
     """
-    eye = np.eye(circuit.n_modes, dtype=complex)
-    return _apply_gates(circuit, _source_cols(eye, circuit.lattice))
+    lat = circuit.lattice
+    cols = np.zeros((lat.n_modes, lat.n_sources), dtype=complex)
+    cols[list(lat.sources), range(lat.n_sources)] = 1.0
+    return _apply_gates(circuit, cols)
 
 
 def _source_cols(u, lattice: LatticeSpec) -> np.ndarray:
@@ -312,21 +330,19 @@ _CHUNK_ENTRIES = 4096
 def _apply_gates(circuit: Circuit, u: np.ndarray) -> np.ndarray:
     """Left-multiply ``u`` (in place) by every gate of the circuit in order.
 
-    Vectorized over the gates of a layer: :meth:`Circuit.validate`
-    guarantees that they act on disjoint, in-range modes, so they commute
+    Vectorized over the gates of a layer: the :class:`Circuit` constructor
+    has checked that they act on disjoint, in-range modes, so they commute
     and their rows can be mixed at once (up to ``_CHUNK_ENTRIES //
-    u.shape[1]`` gates per update).  Each gate's scalars and products are
-    those of gate-by-gate application, so the result is bit-identical.
+    u.shape[1]`` gates per update).  A layer's coefficients are computed in
+    one call; each gate's scalars and products are those of gate-by-gate
+    application, so the result is bit-identical.
     """
-    circuit.validate()
     step = max(1, _CHUNK_ENTRIES // u.shape[1])
-    for layer in circuit.layers:
-        for start in range(0, len(layer), step):
-            gates = layer[start : start + step]
-            i, j = np.array([gate.modes for gate in gates]).T
-            coeffs = np.array([_gate_coefficients(g.theta, g.phi) for g in gates])
-            c, es, fs = coeffs.T[:, :, None]
-            _mix_rows(u, i, j, c, es, fs)
+    for pairs, angles in zip(circuit.pairs, circuit.angles):
+        c, es, fs = (x[:, None] for x in _gate_coefficients(angles[:, 0], angles[:, 1]))
+        for k in range(0, len(pairs), step):
+            i, j = pairs[k : k + step].T
+            _mix_rows(u, i, j, c[k : k + step], es[k : k + step], fs[k : k + step])
     return u
 
 
@@ -350,14 +366,15 @@ def _fmt(x: float) -> str:
 def circuit_to_json(circuit: Circuit) -> str:
     """Serialize a circuit to JSON with exact angle round trip.
 
-    Angles are printed with 17 significant digits so that parsing the
-    output reproduces the exact IEEE-754 doubles.
+    Gates are ``[i, j, theta, phi]``, angles printed with 17 significant
+    digits so that parsing the output reproduces the exact IEEE-754 doubles.
     """
     lat = circuit.lattice
     gate_strs = []
-    for layer in circuit.layers:
+    for pairs, angles in zip(circuit.pairs, circuit.angles):
         parts = [
-            f"[{g.modes[0]},{g.modes[1]},{_fmt(g.theta)},{_fmt(g.phi)}]" for g in layer
+            f"[{i},{j},{_fmt(t)},{_fmt(p)}]"
+            for (i, j), (t, p) in zip(pairs.tolist(), angles.tolist())
         ]
         gate_strs.append("[" + ",".join(parts) + "]")
     seed = "null" if circuit.seed is None else str(int(circuit.seed))
@@ -370,19 +387,20 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    """Parse :func:`circuit_to_json` output back into a validated circuit."""
+    """Parse :func:`circuit_to_json` output back into a checked circuit."""
     doc = json.loads(text)
     if doc.get("format") != "bls-circuit":
         raise MalformedCircuitError(f"unrecognized circuit format: {doc.get('format')!r}")
     lattice = build_lattice(doc["dim"], doc["n_sources"], doc["edge"])
-    layers = [
-        [BeamSplitterGate((int(i), int(j)), float(t), float(p)) for i, j, t, p in layer]
-        for layer in doc["layers"]
-    ]
-    circuit = Circuit(lattice=lattice, layers=layers, seed=doc.get("seed"))
+    layers = doc["layers"]
+    circuit = Circuit(
+        lattice,
+        [[gate[:2] for gate in layer] for layer in layers],
+        [[gate[2:] for gate in layer] for layer in layers],
+        seed=doc.get("seed"),
+    )
     if circuit.depth != doc["depth"]:
         raise MalformedCircuitError(
             f"depth field {doc['depth']} != {circuit.depth} layers present"
         )
-    circuit.validate()
     return circuit

@@ -186,12 +186,10 @@ def test_c04_covariance_distance_chain_domination():
 def test_c05_fock_interference_and_distance_bound():
     start = time.perf_counter()
     # two-photon coincidence cancellation on one balanced splitter
-    from blsampler import BeamSplitterGate, Circuit
+    from blsampler import Circuit
 
     hom_lat = build_lattice(1, 2, 1)
-    hom = Circuit(
-        lattice=hom_lat, layers=[[BeamSplitterGate((0, 1), math.pi / 4, 0.0)]]
-    )
+    hom = Circuit(hom_lat, pairs=[[(0, 1)]], angles=[[(math.pi / 4, 0.0)]])
     u = accumulate_unitary(hom)
     exact_hom = enumerate_fock_distribution(u, hom_lat).as_dict()
     dist_hom = enumerate_distinguishable_distribution(u, hom_lat).as_dict()

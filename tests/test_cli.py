@@ -11,9 +11,9 @@ import sys
 import pytest
 
 import blsampler
-from blsampler.cli import main
+from blsampler.cli import _build_parser, main, validate
 from blsampler.diagnostics import leakage_bound
-from blsampler.errors import ConditioningError
+from blsampler.errors import ConditioningError, SizeCapError
 
 
 def _stderr_json(capsys):
@@ -107,10 +107,20 @@ def test_threshold_detector_requires_squeezed_sources(capsys):
     assert any("threshold detection requires squeezed" in p for p in problems)
 
 
-def test_unrecognized_positionals_are_rejected(capsys):
-    assert main(["bogus"]) == 2
-    problems = _stderr_json(capsys)["problems"]
-    assert any("unrecognized arguments: bogus" in p for p in problems)
+@pytest.mark.parametrize(
+    "argv", [["bogus"], ["kernels", "selftest"]], ids=["bogus", "kernels-selftest"]
+)
+def test_unrecognized_positionals_are_rejected(capsys, argv):
+    # the parser takes no positionals: `bls kernels selftest` is spelled
+    # `bls --mode kernels-selftest`
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "invalid-config"
+    assert f"unrecognized arguments: {' '.join(argv)}" in payload["message"]
 
 
 def test_unknown_flag_emits_json_error(capsys):
@@ -253,9 +263,9 @@ def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
 # --------------------------------------------------------------- selftest
 
 
-def test_kernels_selftest_positional_form(tmp_path, capsys):
+def test_kernels_selftest_writes_report(tmp_path, capsys):
     report_path = tmp_path / "selftest.json"
-    assert main(["kernels", "selftest", "--out", str(report_path)]) == 0
+    assert main(["--mode", "kernels-selftest", "--out", str(report_path)]) == 0
     assert "kernels-selftest: PASS" in capsys.readouterr().out
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
@@ -264,15 +274,9 @@ def test_kernels_selftest_positional_form(tmp_path, capsys):
 
 
 def test_kernels_selftest_rejects_other_flags(capsys):
-    assert main(["kernels", "selftest", "--dim", "1"]) == 2
+    assert main(["--mode", "kernels-selftest", "--dim", "1"]) == 2
     problems = _stderr_json(capsys)["problems"]
     assert any("--dim has no effect" in p for p in problems)
-
-
-def test_positional_contradicting_mode_is_rejected(capsys):
-    assert main(["kernels", "selftest", "--mode", "sample-exact"]) == 2
-    problems = _stderr_json(capsys)["problems"]
-    assert any("contradicts --mode" in p for p in problems)
 
 
 # ------------------------------------------------------------- diagnostics
@@ -393,8 +397,20 @@ def test_bounds_json_artifact(tmp_path):
         ["--mode", "sample-exact", "--sources", "1", "--sublattice-edge", "2",
          "--depth", "2", "--squeezing", "1.5", "--epsilon", "1e-100",
          "--samples", "3", "--seed", "1"],
+        # each of these would ask numpy for more than 2**47 bytes, so a
+        # missing guard fails at once rather than paging memory in
+        ["--mode", "diagnose-leakage", "--dim", "3", "--sources", "1",
+         "--sublattice-edge", "100000", "--depth", "1", "--samples", "1"],
+        ["--mode", "sample-approx", "--dim", "3", "--sources", "1",
+         "--sublattice-edge", "100000", "--depth", "1", "--squeezing", "0.5",
+         "--samples", "1", "--seed", "1"],
+        ["--mode", "diagnose-walk", "--sublattice-edge", "1000", "--depth", "1",
+         "--samples", str(10**12)],
+        ["--mode", "diagnose-walk", "--sublattice-edge", "1000",
+         "--depth", str(10**13), "--samples", "2"],
     ],
-    ids=["enumeration", "moment-degree"],
+    ids=["enumeration", "moment-degree", "leakage-modes", "approx-modes",
+         "walk-trials", "walk-depth"],
 )
 def test_size_cap_exits_three(tmp_path, capsys, args):
     code = main(["--dim", "1", *args, "--out", str(tmp_path / "cap.out")])
@@ -402,6 +418,23 @@ def test_size_cap_exits_three(tmp_path, capsys, args):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "size-cap"
+
+
+@pytest.mark.parametrize("depth", [10**9, 10**12])
+def test_size_cap_refuses_deep_circuits_in_validate(depth):
+    # a deep sample-approx circuit allocates a layer at a time and would run
+    # until memory ran out, so check validate alone: nothing runs if it passes
+    args = _build_parser().parse_args(
+        ["--mode", "sample-approx", "--dim", "1", "--sources", "8",
+         "--sublattice-edge", "64", "--depth", str(depth), "--squeezing", "0.5",
+         "--seed", "3", "--out", "unused.jsonl"]
+    )
+    with pytest.raises(SizeCapError, match="depth"):
+        validate(args)
+    # the largest planned depth-threshold runs stay under the cap
+    for dim, sources, edge, depth in [(1, 2, 512, 6865), (2, 2, 128, 863)]:
+        args.dim, args.sources, args.edge, args.depth = dim, sources, edge, depth
+        assert validate(args)[1] == []
 
 
 def _cli_process(*args):
@@ -458,7 +491,7 @@ def test_numerical_failure_exits_four(monkeypatch, capsys):
         raise ConditioningError("covariance not positive definite")
 
     monkeypatch.setattr("blsampler.cli.run", boom)
-    assert main(["kernels", "selftest"]) == 4
+    assert main(["--mode", "kernels-selftest"]) == 4
     payload = _stderr_json(capsys)
     assert payload["error"] == "numerical"
     assert "positive definite" in payload["message"]
@@ -466,4 +499,4 @@ def test_numerical_failure_exits_four(monkeypatch, capsys):
 
 def test_log_environment_variable_smoke(monkeypatch, tmp_path):
     monkeypatch.setenv("BLS_LOG", "info")
-    assert main(["kernels", "selftest"]) == 0
+    assert main(["--mode", "kernels-selftest"]) == 0

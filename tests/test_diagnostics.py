@@ -9,7 +9,6 @@ import pytest
 import blsampler.diagnostics
 import blsampler.lattice
 from blsampler import (
-    BeamSplitterGate,
     Circuit,
     Distribution,
     SizeCapError,
@@ -495,10 +494,7 @@ def test_enumerate_fock_two_photon_interference():
     # one balanced splitter across both sources: coincidences vanish for
     # indistinguishable photons and stay at 1/2 for distinguishable ones
     lat = build_lattice(1, 2, 1)
-    circ = Circuit(
-        lattice=lat,
-        layers=[[BeamSplitterGate((0, 1), math.pi / 4, 0.3)]],
-    )
+    circ = Circuit(lat, pairs=[[(0, 1)]], angles=[[(math.pi / 4, 0.3)]])
     u = accumulate_unitary(circ)
     exact = enumerate_fock_distribution(u, lat).as_dict()
     dist = enumerate_distinguishable_distribution(u, lat).as_dict()
@@ -588,6 +584,49 @@ def test_walk_profile_default_source_is_center():
     assert profile.source == 4
 
 
+def _walk_with_complex_exp(grid_shape, source, depth, n_trials, rng):
+    """The walk with its own ``np.exp(1j * phi)`` gate phases, as it was
+    before it shared the circuit replay's coefficients."""
+    n_modes = int(np.prod(grid_shape))
+    amps = np.zeros((n_trials, n_modes), dtype=complex)
+    amps[:, source] = 1.0
+    tables = np.zeros((3, depth + 1, n_modes))
+    tables[0, 0, source] = tables[2, 0, source] = 1.0
+    profile = tables[2, 0].copy()
+    for layer in range(depth):
+        pairs = blsampler.lattice.brickwork_pairs(grid_shape, layer)
+        if pairs.shape[0]:
+            i, j = pairs[:, 0], pairs[:, 1]
+            theta = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
+            phi = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
+            c, s = np.cos(theta), np.sin(theta)
+            e = np.exp(1j * phi)
+            blsampler.lattice._mix_rows(
+                amps.T, i, j, c.T, (e * s).T, (-np.conj(e) * s).T
+            )
+            profile[i] = profile[j] = 0.5 * (profile[i] + profile[j])
+        w = np.abs(amps) ** 2
+        tables[0, layer + 1] = w.mean(axis=0)
+        tables[1, layer + 1] = w.std(axis=0, ddof=1) / math.sqrt(n_trials)
+        tables[2, layer + 1] = profile
+    return tables
+
+
+@pytest.mark.parametrize(
+    "dim, n_modes, depth", [(1, 32, 16), (2, 64, 12)], ids=["d1", "d2"]
+)
+def test_walk_profile_matches_complex_exp_phases_bit_for_bit(dim, n_modes, depth):
+    # the walk takes its gate entries from the circuit replay's formula,
+    # cos + i sin; it must give what the walk's own exp(i phi) gave
+    profile = random_walk_profile(dim, n_modes, depth, 300, np.random.default_rng(26))
+    grid_shape = (round(n_modes ** (1.0 / dim)),) * dim
+    want = _walk_with_complex_exp(
+        grid_shape, profile.source, depth, 300, np.random.default_rng(26)
+    )
+    for got, ref in zip((profile.empirical, profile.stderr, profile.theory), want):
+        assert np.array_equal(got, ref)
+
+
 # ------------------------------------------------------- Fock error bound
 
 
@@ -602,10 +641,7 @@ def test_fock_error_bound_balanced_splitter():
     # both source columns have |entries| 1/sqrt(2) on the same two rows,
     # so C = 2 * (1/sqrt(2))^2 = 1 and the 2-photon bound is c^2/2 = 1/2
     lat = build_lattice(1, 2, 1)
-    circ = Circuit(
-        lattice=lat,
-        layers=[[BeamSplitterGate((0, 1), math.pi / 4, 1.1)]],
-    )
+    circ = Circuit(lat, pairs=[[(0, 1)]], angles=[[(math.pi / 4, 1.1)]])
     report = fock_error_bound(accumulate_unitary(circ), lat, depth=1)
     assert report.c_max == pytest.approx(1.0, rel=1e-12)
     assert report.exact_sum_bound == pytest.approx(0.5, rel=1e-12)

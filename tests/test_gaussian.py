@@ -252,11 +252,10 @@ def _realified(u: np.ndarray) -> np.ndarray:
 def _reference_symplectic(circ) -> np.ndarray:
     """Gate-by-gate product of realified 2x2 beam-splitter unitaries."""
     s = np.eye(2 * circ.n_modes)
-    for layer in circ.layers:
-        for gate in layer:
-            i, j = gate.modes
+    for pairs, angles in zip(circ.pairs, circ.angles):
+        for (i, j), (theta, phi) in zip(pairs.tolist(), angles.tolist()):
             rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-            s[rows] = _realified(beam_splitter_unitary(gate.theta, gate.phi)) @ s[rows]
+            s[rows] = _realified(beam_splitter_unitary(theta, phi)) @ s[rows]
     return s
 
 

@@ -1,13 +1,14 @@
 """Lattice geometry, brickwork layering, circuits, unitary accumulation."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from blsampler import (
-    BeamSplitterGate,
     Circuit,
     MalformedCircuitError,
     accumulate_unitary,
@@ -141,6 +142,20 @@ def test_source_columns_are_the_unitary_source_columns(dim, edge):
     assert np.abs(cols - want).max() <= 1e-15
 
 
+def test_source_columns_memory_is_linear_in_modes():
+    # the replay starts from the M x N identity columns: an M x M identity
+    # would cost 2048 times their size here, and cannot exist at large M
+    lat = build_lattice(1, 2, 2048)
+    circ = sample_random_circuit(lat, 3, np.random.default_rng(15))
+    tracemalloc.start()
+    try:
+        cols = source_columns(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * cols.nbytes
+
+
 @pytest.mark.parametrize(
     "dim, n_sources, edge", [(1, 3, 3), (2, 2, 2), (1, 4, 1)], ids=["d1", "d2", "edge1"]
 )
@@ -168,13 +183,13 @@ def test_source_cols_rejects_other_shapes(dim, n_sources, edge):
 
 
 def _gate_by_gate(circuit, u):
-    """Reference: left-multiply ``u`` by one 2x2 update per gate, in order."""
-    for layer in circuit.layers:
-        for gate in layer:
-            i, j = gate.modes
-            c = math.cos(gate.theta)
-            s = math.sin(gate.theta)
-            e = complex(math.cos(gate.phi), math.sin(gate.phi))
+    """Reference: left-multiply ``u`` by one 2x2 update per gate, in order,
+    with each gate's entries from libm through ``math``."""
+    for pairs, angles in zip(circuit.pairs, circuit.angles):
+        for (i, j), (theta, phi) in zip(pairs.tolist(), angles.tolist()):
+            c = math.cos(theta)
+            s = math.sin(theta)
+            e = complex(math.cos(phi), math.sin(phi))
             row_i = u[i].copy()
             row_j = u[j]
             u[i] = c * row_i + (e * s) * row_j
@@ -185,13 +200,9 @@ def _gate_by_gate(circuit, u):
 def _hand_built_circuit():
     # gates listed out of mode order, one with i > j, and an empty layer
     lat = build_lattice(1, 2, 3)
-    layers = [
-        [BeamSplitterGate((4, 5), 0.3, 1.9), BeamSplitterGate((0, 3), 2.2, 0.4),
-         BeamSplitterGate((2, 1), 1.1, 5.0)],
-        [],
-        [BeamSplitterGate((5, 2), 0.8, 3.3), BeamSplitterGate((1, 0), 4.1, 2.7)],
-    ]
-    return Circuit(lattice=lat, layers=layers)
+    pairs = [[(4, 5), (0, 3), (2, 1)], [], [(5, 2), (1, 0)]]
+    angles = [[(0.3, 1.9), (2.2, 0.4), (1.1, 5.0)], [], [(0.8, 3.3), (4.1, 2.7)]]
+    return Circuit(lat, pairs, angles)
 
 
 def _seeded_circuit(dim, n_sources, edge, depth, seed):
@@ -226,8 +237,7 @@ def test_layer_update_is_bit_identical_to_gate_by_gate(make):
 
 def test_single_gate_unitary_embedding():
     lat = build_lattice(1, 1, 2)
-    gate = BeamSplitterGate((0, 1), 0.7, 1.1)
-    circ = Circuit(lattice=lat, layers=[[gate]])
+    circ = Circuit(lat, pairs=[[(0, 1)]], angles=[[(0.7, 1.1)]])
     u = accumulate_unitary(circ)
     assert np.allclose(u, beam_splitter_unitary(0.7, 1.1))
 
@@ -239,29 +249,72 @@ def test_beam_splitter_unitary_shape_and_unitarity():
     assert u[0, 0] == pytest.approx(math.cos(0.3))
 
 
-def test_circuit_validate_rejects_mode_reuse():
+def test_circuit_rejects_mode_reuse():
     lat = build_lattice(1, 1, 4)
-    bad = Circuit(
-        lattice=lat,
-        layers=[[BeamSplitterGate((0, 1), 0.1, 0.2), BeamSplitterGate((1, 2), 0.3, 0.4)]],
-    )
-    with pytest.raises(MalformedCircuitError):
-        bad.validate()
+    with pytest.raises(MalformedCircuitError, match="layer 0: gates must act on distinct"):
+        Circuit(lat, pairs=[[(0, 1), (1, 2)]], angles=[[(0.1, 0.2), (0.3, 0.4)]])
 
 
-def test_circuit_validate_rejects_out_of_range_modes():
+@pytest.mark.parametrize("modes", [(0, 5), (-1, 0), (1, 1), (0, 2)])
+def test_circuit_rejects_out_of_range_modes(modes):
     # the layer update indexes rows with these modes: a negative one would
     # wrap and a gate (k, k) would overwrite its own row, so each must be
-    # refused before any row is touched
+    # refused before a circuit exists
     lat = build_lattice(1, 1, 2)
-    for modes in [(0, 5), (-1, 0), (1, 1), (0, 2)]:
-        bad = Circuit(lattice=lat, layers=[[BeamSplitterGate(modes, 0.1, 0.2)]])
-        with pytest.raises(MalformedCircuitError):
-            bad.validate()
-        with pytest.raises(MalformedCircuitError):
-            accumulate_unitary(bad)
-        with pytest.raises(MalformedCircuitError):
-            source_columns(bad)
+    with pytest.raises(MalformedCircuitError, match=r"distinct modes of 0\.\.1"):
+        Circuit(lat, pairs=[[modes]], angles=[[(0.1, 0.2)]])
+    # the bad gate is caught in any layer, behind good ones
+    with pytest.raises(MalformedCircuitError, match="layer 1"):
+        Circuit(lat, pairs=[[(0, 1)], [modes]], angles=[[(0.1, 0.2)], [(0.1, 0.2)]])
+
+
+@pytest.mark.parametrize(
+    "pairs, angles, message",
+    [
+        pytest.param(
+            [[(0, 1)], [(1, 2)]], [[(0.1, 0.2)]], "2 layers of pairs, 1 of angles",
+            id="layer-count",
+        ),
+        pytest.param(
+            [[(0, 1), (2, 3)]], [[(0.1, 0.2)]],
+            r"layer 0: pairs of shape \(2, 2\) and angles of shape \(1, 2\)",
+            id="gate-count",
+        ),
+        pytest.param(
+            [[(0, 1)], []], [[(0.1, 0.2)], [(0.3, 0.4)]],
+            r"layer 1: pairs of shape \(0, 2\) and angles of shape \(1, 2\)",
+            id="empty-layer",
+        ),
+        pytest.param(
+            [[(0, 1, 2)]], [[(0.1, 0.2, 0.3)]], r"layer 0: pairs of shape \(1, 3\)",
+            id="pair-width",
+        ),
+        pytest.param([[(0, 1)]], [[0.1, 0.2]], r"angles of shape \(2,\)", id="angle-rows"),
+    ],
+)
+def test_circuit_rejects_mismatched_layers(pairs, angles, message):
+    lat = build_lattice(1, 1, 4)
+    with pytest.raises(MalformedCircuitError, match=message):
+        Circuit(lat, pairs, angles)
+
+
+def test_circuit_arrays_are_read_only():
+    lat = build_lattice(1, 2, 3)
+    pairs = np.array([[0, 1], [2, 3]])
+    angles = np.array([[0.1, 0.2], [0.3, 0.4]])
+    hand = Circuit(lat, [pairs], [angles])
+    sampled = sample_random_circuit(lat, 3, np.random.default_rng(4))
+    for circ in (hand, sampled):
+        for array in (*circ.pairs, *circ.angles):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 5
+    # writable inputs are copied, so changing them later leaves the circuit alone
+    pairs[0, 0], angles[0, 0] = 1, 9.0
+    assert hand.pairs[0].tolist() == [[0, 1], [2, 3]]
+    assert hand.angles[0][0, 0] == 0.1
+    with pytest.raises(AttributeError):
+        hand.pairs = ()
 
 
 def test_circuit_json_round_trip():
@@ -272,6 +325,22 @@ def test_circuit_json_round_trip():
     assert back.depth == circ.depth
     assert np.allclose(accumulate_unitary(back), accumulate_unitary(circ))
     json.loads(text)  # artifact is plain JSON
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((1, 2, 4, 5, 21), "00c3e29e42cf9db804625cf8a72d0224eb5efea894bf9e425f3444d94ab18964"),
+        ((2, 4, 3, 6, 22), "81ab293b86166699ce2848eaeb39660ac9a37805a66c4bce405a3d8e35168944"),
+        ((3, 2, 3, 7, 23), "803746d412c351b951998273bf2337721631ed910bb002140375259e30e6dcd3"),
+    ],
+    ids=["d1", "d2", "d3"],
+)
+def test_circuit_json_bytes_are_pinned(args, digest):
+    # pins the brickwork pair order, the angle stream and the text format
+    text = circuit_to_json(_seeded_circuit(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert circuit_to_json(circuit_from_json(text)) == text
 
 
 def test_light_cone_width_grows_one_site_per_layer():
