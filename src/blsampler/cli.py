@@ -237,8 +237,13 @@ def validate(args) -> tuple[dict, list[str]]:
     # before numpy's 64 axes, so the exponent stops there.
     m = config["n_sources"] * config["edge"] ** min(config["dim"], 64)
     walk = n_samples * m if mode == "diagnose-walk" else 0
+    # sample-exact and diagnose-bounds build dense 2M x 2M covariances, so
+    # M stops at 4096 there; ROADMAP items 1 and 2 replace this cap with
+    # one set from the exact engine's real cost
+    dense = (2 * m) ** 2 if mode in ("sample-exact", "diagnose-bounds") else 0
     for label, size in [("N * L^d modes", m), ("depth * M", config["depth"] * m),
-                        ("samples * M walk amplitudes", walk)]:
+                        ("samples * M walk amplitudes", walk),
+                        ("(2M)^2 dense covariance entries", dense)]:
         if size > MAX_MODE_CELLS:
             raise SizeCapError(f"{label} exceeds the cap of {MAX_MODE_CELLS}")
     try:

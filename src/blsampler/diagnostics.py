@@ -8,9 +8,10 @@ checked against ground truth:
   Gaussian state.  Pure squeezed-input states use the thin symmetric
   factor of the M x M pure-state block (one linear form per photon);
   mixed states use the full 2M x 2M hafnian matrix (two forms per
-  photon); both run a shared dynamic program that groups all outcome
-  prefixes of equal photon total into one stacked coefficient array so
-  every transition is a vectorized gather.  States with more than
+  photon); both run a shared dynamic program that streams the outcome
+  prefixes one photon total at a time, each total's coefficients stacked
+  in one block so every transition is a vectorized gather, and folds the
+  final mode against precomputed adjoint weights.  States with more than
   ``LOW_RANK_COLUMN_CAP`` effective squeezed modes fall back to the
   reference hafnian at brute-force scale.
 * :func:`enumerate_fock_distribution` — exact single-photon-input
@@ -28,6 +29,7 @@ table's missing tail in full.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -89,7 +91,9 @@ FOCK_ORACLE_MAX_SOURCES = 6
 FOCK_ORACLE_MAX_MODES = 12
 GBS_BRUTE_MAX_MODES = 6
 GBS_BRUTE_MAX_TOTAL = 8
-# Peak stacked-coefficient elements the enumeration DP may allocate.
+# Cap on the enumeration DP's stacked coefficients, counted as if every
+# prefix level were held whole.  The DP streams its levels, so the count
+# is conservative, most of all by the last prefix level it never holds.
 DP_MAX_ELEMENTS = 3e8
 
 
@@ -133,9 +137,18 @@ class Distribution:
         }
 
 
-def _outcome_keys(counts: np.ndarray, base: int) -> np.ndarray:
-    powers = base ** np.arange(counts.shape[1], dtype=np.int64)
-    return counts.astype(np.int64) @ powers
+def _outcome_keys(d1: Distribution, d2: Distribution, base: int) -> np.ndarray:
+    """Both tables' rows packed base-``base`` into one int64 key array,
+    ``d1``'s first; column k has weight ``base**k``.  Horner's rule over
+    the columns, last first, in one buffer: integer arithmetic, so exact
+    under :func:`tvd`'s 62-bit check."""
+    n1 = d1.counts.shape[0]
+    keys = np.zeros(n1 + d2.counts.shape[0], dtype=np.int64)
+    for k in reversed(range(d1.n_modes)):
+        keys *= base
+        keys[:n1] += d1.counts[:, k]
+        keys[n1:] += d2.counts[:, k]
+    return keys
 
 
 def tvd(d1: Distribution, d2: Distribution) -> float:
@@ -156,9 +169,7 @@ def tvd(d1: Distribution, d2: Distribution) -> float:
     top = max(2, int(d1.counts.max(initial=0)), int(d2.counts.max(initial=0)))
     base = top + 1
     if m * math.log2(base) <= 62:
-        keys = np.concatenate(
-            [_outcome_keys(d1.counts, base), _outcome_keys(d2.counts, base)]
-        )
+        keys = _outcome_keys(d1, d2, base)
         if keys.shape[0] == 0:
             return 0.0
         # each key occurs at most once per table and the stable sort puts
@@ -298,6 +309,44 @@ def _with_count(pblock: np.ndarray, c: int) -> np.ndarray:
     return out
 
 
+def _next_level(level, forms, tabs, ppp: int, budget: int, mode_cap: int):
+    """Place one more mode: yield ``(total, coeffs, counts)`` for every
+    photon total of the next prefix level, in ascending order.
+
+    ``level`` yields the current level the same way; one of its blocks
+    is read per next total.  Each prefix total t starts one multiply chain
+    when its block arrives and advances it by one photon per next total;
+    a chain is dropped once it holds ``min(mode_cap, budget - t)``
+    photons.  Next total T stacks the chains of t = T, T-1, ... in
+    ascending t, so only the live chain heads and one stacked block are
+    held at a time.
+    """
+    heads: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
+    for total in itertools.count():
+        block = next(level, None)  # totals are contiguous from 0
+        if block is not None:
+            heads[total] = (block[1], ppp * total, block[2])
+        elif not heads:
+            return
+        pieces_c, pieces_p = [], []
+        for t, (cur, degree, pblock) in list(heads.items()):
+            c = total - t
+            if c > 0:
+                for f in forms:
+                    cur = tabs.multiply_linear(cur, degree, f)
+                    degree += 1
+            pieces_c.append(cur)
+            pieces_p.append(_with_count(pblock, c))
+            if c == min(mode_cap, budget - t):
+                del heads[t]
+            else:
+                heads[t] = (cur, degree, pblock)
+        coeffs, counts = np.concatenate(pieces_c), np.concatenate(pieces_p)
+        del pieces_c, pieces_p, cur, pblock  # the block alone stays alive
+        yield total, coeffs, counts
+        del coeffs, counts  # the next block is built without this one
+
+
 def _dp_enumerate(
     mode_forms: list[list[np.ndarray]],
     n_vars: int,
@@ -310,40 +359,33 @@ def _dp_enumerate(
 
     ``mode_forms[j]`` lists the forms contributed by each photon in mode
     j (one for the pure path, two — row and conjugate row — for the
-    general path).  Levels are keyed by total photons placed; each level
-    stacks every prefix's coefficient vector so a transition is one
-    batched gather per form.  The final mode is folded through adjoint
-    weight vectors instead of being expanded, which avoids materializing
-    the (much larger) last level: per top total ``T``, one chain starts
-    at the degree-``T`` weights and each adjoint step adds one photon
-    ``c`` to the final mode, so level ``t = T - c`` reads it on the way.
+    general path).  Prefix levels are keyed by total photons placed and
+    streamed one total at a time (:func:`_next_level`): a total's block
+    stacks every prefix's coefficient vector, so a transition is one
+    batched gather per form, and no level is held whole.  The final mode
+    is folded through adjoint weight vectors instead of being expanded:
+    ``adj(t, c)`` pulls the degree-``t + c`` weights back over ``c``
+    photons of the final mode, one chain per top total ``T = t + c``,
+    computed once up front.  Each prefix block is folded against its
+    ``adj(t, c)`` in one matrix-vector product per ``c``, written at its
+    row position (totals ascending, then ``c``) and dropped.
     """
     m = len(mode_forms)
     ppp = len(mode_forms[0])
     tabs = _moments.tables(n_vars)
-    levels: dict[int, tuple[np.ndarray, np.ndarray]] = {
-        0: (np.ones((1, 1), dtype=complex), np.zeros((1, 0), dtype=np.int16))
-    }
-    for j in range(m - 1):
-        forms = mode_forms[j]
-        next_c: dict[int, list[np.ndarray]] = {}
-        next_p: dict[int, list[np.ndarray]] = {}
-        for t, (cblock, pblock) in levels.items():
-            cur = cblock
-            degree = ppp * t
-            for c in range(0, min(mode_cap, budget - t) + 1):
-                if c > 0:
-                    for f in forms:
-                        cur = tabs.multiply_linear(cur, degree, f)
-                        degree += 1
-                next_c.setdefault(t + c, []).append(cur)
-                next_p.setdefault(t + c, []).append(_with_count(pblock, c))
-        levels = {
-            t: (np.concatenate(next_c[t]), np.concatenate(next_p[t])) for t in next_c
-        }
+    level = iter(
+        [(0, np.ones((1, 1), dtype=complex), np.zeros((1, 0), dtype=np.int16))]
+    )
+    rows = [1]  # rows[t]: prefixes of total t in the current level
+    for forms in mode_forms[:-1]:
+        level = _next_level(level, forms, tabs, ppp, budget, mode_cap)
+        rows = [
+            sum(rows[max(0, top - mode_cap) : top + 1])
+            for top in range(min(budget, len(rows) - 1 + mode_cap) + 1)
+        ]
     last_forms = mode_forms[m - 1]
-    raw: dict[tuple[int, int], np.ndarray] = {}
-    for top in range(min(budget, max(levels) + mode_cap) + 1):
+    adj: dict[tuple[int, int], np.ndarray] = {}
+    for top in range(min(budget, len(rows) - 1 + mode_cap) + 1):
         w = tabs.weights(ppp * top).astype(complex)
         degree = ppp * top
         for c in range(0, min(mode_cap, top) + 1):
@@ -351,20 +393,27 @@ def _dp_enumerate(
                 for f in last_forms:
                     w = tabs.multiply_linear_adjoint(w, degree, f)
                     degree -= 1
-            if top - c in levels:
-                vals = levels[top - c][0] @ w
-                if value == "abs2":
-                    raw[top - c, c] = np.abs(vals) ** 2
-                else:
-                    raw[top - c, c] = np.maximum(vals.real, 0.0)
-    out_counts = []
-    out_probs = []
-    for t, (_, pblock) in sorted(levels.items()):
+            if top - c < len(rows):
+                adj[top - c, c] = w
+    n_out = sum(n * (min(mode_cap, budget - t) + 1) for t, n in enumerate(rows))
+    counts = np.empty((n_out, m), dtype=np.int16)
+    probs = np.empty(n_out)
+    pos = 0
+    for t, cblock, pblock in level:
         prefix_fact = _FACT[pblock].prod(axis=1)  # ones when no prefix mode
+        n = cblock.shape[0]
         for c in range(0, min(mode_cap, budget - t) + 1):
-            out_counts.append(_with_count(pblock, c))
-            out_probs.append(raw.pop((t, c)) * norm / (prefix_fact * _FACT[c]))
-    dist = Distribution(np.concatenate(out_counts), np.concatenate(out_probs))
+            vals = cblock @ adj.pop((t, c))
+            if value == "abs2":
+                raw = np.abs(vals) ** 2
+            else:
+                raw = np.maximum(vals.real, 0.0)
+            counts[pos : pos + n, :-1] = pblock
+            counts[pos : pos + n, -1] = c
+            probs[pos : pos + n] = raw * norm / (prefix_fact * _FACT[c])
+            pos += n
+        del cblock, pblock  # dropped before the next block is built
+    dist = Distribution(counts, probs)
     logger.debug(
         "enumerated %d outcomes over %d modes (budget %d), mass %.6g",
         dist.counts.shape[0],

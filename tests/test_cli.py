@@ -252,6 +252,14 @@ def test_fock_sampler_conserves_photons(tmp_path):
             "17e564d2928e474973d7a0b40202d8c8eb89077e8f7ec83177a4a1073b4f9acf",
             id="sample-exact",
         ),
+        # pinned before the enumeration streamed its last prefix level:
+        # the bounds-small report must not move
+        pytest.param(
+            "--mode diagnose-bounds --dim 1 --sources 2 --sublattice-edge 4 "
+            "--depth 4 --squeezing 0.5 --samples 1 --seed 5",
+            "2f01639fde180ecbdb1abe7614627f80391fb111d54150f6198e478c03d1e559",
+            id="diagnose-bounds",
+        ),
     ],
 )
 def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
@@ -408,9 +416,15 @@ def test_bounds_json_artifact(tmp_path):
          "--samples", str(10**12)],
         ["--mode", "diagnose-walk", "--sublattice-edge", "1000",
          "--depth", str(10**13), "--samples", "2"],
+        # M = 8e6 passes the 4096-mode cap on dense 2M x 2M covariances
+        ["--mode", "sample-exact", "--sources", "2", "--sublattice-edge",
+         "4000000", "--depth", "1", "--squeezing", "0.5", "--samples", "1",
+         "--seed", "1"],
+        ["--mode", "diagnose-bounds", "--sources", "2", "--sublattice-edge",
+         "4000000", "--depth", "1", "--squeezing", "0.5", "--samples", "1"],
     ],
     ids=["enumeration", "moment-degree", "leakage-modes", "approx-modes",
-         "walk-trials", "walk-depth"],
+         "walk-trials", "walk-depth", "exact-dense-modes", "bounds-dense-modes"],
 )
 def test_size_cap_exits_three(tmp_path, capsys, args):
     code = main(["--dim", "1", *args, "--out", str(tmp_path / "cap.out")])

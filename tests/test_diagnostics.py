@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,17 +448,33 @@ def _unmemoized_dp(mode_forms, n_vars, budget, mode_cap, value, norm):
     return np.vstack(out_counts), np.concatenate(out_probs)
 
 
+# the bounds-small config: d=1, N=2, edge 4, depth 4, r=0.5, budget 16
+_BOUNDS_SMALL = (1, 2, 4, 4)
+
+
 @pytest.mark.parametrize(
-    "state, forms_per_photon, mode_cap",
-    [("exact", 1, None), ("exact", 1, 3), ("block", 2, None), ("block", 2, 2)],
+    "shape, state, forms_per_photon, mode_cap",
+    [
+        pytest.param(_BOUNDS_SMALL, "exact", 1, None, id="exact-1-None"),
+        pytest.param(_BOUNDS_SMALL, "exact", 1, 3, id="exact-1-3"),
+        pytest.param(_BOUNDS_SMALL, "block", 2, None, id="block-2-None"),
+        pytest.param(_BOUNDS_SMALL, "block", 2, 2, id="block-2-2"),
+        # seven prefix modes at cap 2 reach total 14, below the budget, so
+        # the last prefix level stops short of it
+        pytest.param(_BOUNDS_SMALL, "exact", 1, 2, id="exact-1-2"),
+        # no prefix mode: the final-mode fold alone
+        pytest.param((1, 1, 1, 0), "exact", 1, None, id="one-mode"),
+        # one prefix mode: the first level is the last one
+        pytest.param((1, 2, 1, 2), "exact", 1, None, id="two-mode"),
+    ],
 )
 def test_enumeration_matches_unmemoized_fold(
-    monkeypatch, state, forms_per_photon, mode_cap
+    monkeypatch, shape, state, forms_per_photon, mode_cap
 ):
-    # the bounds-small config: d=1, N=2, edge 4, depth 4, r=0.5, budget 16
-    lat = build_lattice(1, 2, 4)
-    circ = sample_random_circuit(lat, 4, np.random.default_rng(31))
-    budget = min(truncation_threshold(2, 0.5, epsilon=1e-6).n_total_max, 16)
+    dim, sources, edge, depth = shape
+    lat = build_lattice(dim, sources, edge)
+    circ = sample_random_circuit(lat, depth, np.random.default_rng(31))
+    budget = min(truncation_threshold(sources, 0.5, epsilon=1e-6).n_total_max, 16)
     policy = TruncationPolicy(1e-6, budget, budget if mode_cap is None else mode_cap)
     if state == "exact":
         cov = state_covariance(circ, lat, 0.5)
@@ -473,12 +490,35 @@ def test_enumeration_matches_unmemoized_fold(
     monkeypatch.setattr(blsampler.diagnostics, "_dp_enumerate", recorded)
     dist = enumerate_gbs_distribution(quad_to_complex(cov), policy)
     assert len(calls) == 1
+    assert len(calls[0][0]) == dist.n_modes
     assert len(calls[0][0][0]) == forms_per_photon  # pure or general path
     counts, probs = _unmemoized_dp(*calls[0])
     assert dist.counts.dtype == counts.dtype
     assert np.array_equal(dist.counts, counts)
     assert np.array_equal(dist.probs, probs)
     assert dist.counts.max() == policy.n_mode_max
+
+
+def test_enumeration_streams_the_last_prefix_level():
+    # one warm enumeration at the bounds-small config: 735,471 outcomes.
+    # Holding the last prefix level (all modes but the final one) whole,
+    # stacked by a copy, peaked at 166 MB for this circuit; streamed one
+    # photon total at a time it peaks near 64 MB, most of it the output.
+    dim, sources, edge, depth = _BOUNDS_SMALL
+    lat = build_lattice(dim, sources, edge)
+    circ = sample_random_circuit(lat, depth, np.random.default_rng(31))
+    sigma = quad_to_complex(state_covariance(circ, lat, 0.5))
+    policy = TruncationPolicy(1e-6, 16, 16)
+    warm = enumerate_gbs_distribution(sigma, policy)
+    tracemalloc.start()
+    try:
+        dist = enumerate_gbs_distribution(sigma, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.counts.shape == (735471, 8)
+    assert np.array_equal(dist.probs, warm.probs)
+    assert peak < 100e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_enumerate_fock_identity_is_point_mass():
