@@ -8,11 +8,7 @@ and are related to quadrature ones by the unitary basis change
 
 The sampling-facing objects are the ``A`` matrices: ``A = Y (I - Q^{-1})``
 with ``Q = Sigma + I/2`` and ``Y`` the block swap, whose hafnians give
-photon-number probabilities.  For circuits acting on squeezed vacuum the
-state is pure and ``A = B (+) conj(B)`` with the low-rank
-``B = K tanh(r) K^T``; note ``K`` here is the mode transfer matrix in the
-creation-operator convention, the elementwise conjugate of
-:func:`~blsampler.lattice.accumulate_unitary`'s output.
+photon-number probabilities.
 
 Everything here that depends on the circuit is derived from its N source
 columns, :func:`~blsampler.lattice.source_columns`: the output covariance
@@ -23,7 +19,6 @@ applies the same update to each block's rows of its own source column.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +31,11 @@ __all__ = [
     "ComplexCovariance",
     "AMatrix",
     "BlockApproxCovariance",
-    "symplectic_form",
-    "input_covariance",
     "state_covariance",
     "quad_to_complex",
-    "complex_to_quad",
     "reduce_quad",
     "reduce_complex",
     "a_matrix",
-    "b_matrix",
-    "circuit_pure_a",
     "block_approx_covariance",
     "purity_defect",
     "fidelity",
@@ -53,11 +43,6 @@ __all__ = [
     "infidelity_bound",
     "x_norm_bound",
     "tvd_bound",
-    "symplectic_eigenvalues",
-    "save_covariance",
-    "load_covariance",
-    "covariance_to_json",
-    "covariance_from_json",
     "SMALL_X_THRESHOLD",
 ]
 
@@ -76,13 +61,6 @@ class QuadCovariance:
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
 
-    def validate(self, atol: float = 1e-10) -> None:
-        v = self.matrix
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
-            raise ConditioningError(f"covariance shape {v.shape} is not 2Mx2M")
-        if np.abs(v - v.T).max() > atol:
-            raise ConditioningError("covariance is not symmetric")
-
 
 @dataclass(frozen=True)
 class ComplexCovariance:
@@ -97,23 +75,9 @@ class ComplexCovariance:
 
 @dataclass(frozen=True)
 class AMatrix:
-    """Symmetric matrix whose hafnians give photon-number probabilities.
-
-    ``factor`` (when present) is a thin complex matrix ``G`` with
-    ``G @ G.T == matrix``; its column count bounds the state's effective
-    squeezed-mode rank and unlocks the low-rank hafnian kernels.
-    """
+    """Symmetric matrix whose hafnians give photon-number probabilities."""
 
     matrix: np.ndarray
-    factor: np.ndarray | None = None
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    @property
-    def rank(self) -> int | None:
-        return None if self.factor is None else self.factor.shape[1]
 
 
 @dataclass(frozen=True)
@@ -137,30 +101,6 @@ class BlockApproxCovariance:
 def _quad_indices(modes) -> np.ndarray:
     modes = np.asarray(modes, dtype=int)
     return np.stack([2 * modes, 2 * modes + 1], axis=1).ravel()
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Interleaved symplectic form: blockdiag of [[0, 1], [-1, 0]]."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for j in range(n_modes):
-        omega[2 * j, 2 * j + 1] = 1.0
-        omega[2 * j + 1, 2 * j] = -1.0
-    return omega
-
-
-def input_covariance(lattice: LatticeSpec, squeezing: float) -> QuadCovariance:
-    """Product input state: momentum-squeezed vacuum at each source.
-
-    Source modes get ``diag(e^{2r}, e^{-2r}) / 2`` (position anti-squeezed,
-    momentum squeezed); every other mode is vacuum ``I/2``.
-    """
-    if squeezing < 0:
-        raise ValueError(f"squeezing must be >= 0, got {squeezing}")
-    diag = np.full(2 * lattice.n_modes, 0.5)
-    for s in lattice.sources:
-        diag[2 * s] = math.exp(2 * squeezing) / 2.0
-        diag[2 * s + 1] = math.exp(-2 * squeezing) / 2.0
-    return QuadCovariance(np.diag(diag))
 
 
 def _squeezed_covariance(columns: np.ndarray, squeezing: float) -> np.ndarray:
@@ -214,13 +154,6 @@ def quad_to_complex(cov: QuadCovariance) -> ComplexCovariance:
     return ComplexCovariance(t @ cov.matrix @ t.conj().T)
 
 
-def complex_to_quad(cov: ComplexCovariance) -> QuadCovariance:
-    """Inverse of :func:`quad_to_complex` (discards roundoff imaginary part)."""
-    t = _t_matrix(cov.n_modes)
-    v = t.conj().T @ cov.matrix @ t
-    return QuadCovariance(v.real.copy())
-
-
 def reduce_quad(cov: QuadCovariance, modes) -> QuadCovariance:
     """Restrict to a mode subset (partial trace of the rest)."""
     qidx = _quad_indices(modes)
@@ -259,45 +192,6 @@ def a_matrix(cov: ComplexCovariance, min_eig: float = 1e-12) -> AMatrix:
     a[:m] = body[m:]
     a[m:] = body[:m]
     return AMatrix((a + a.T) / 2.0)
-
-
-def b_matrix(transfer: np.ndarray, r_vector: np.ndarray) -> AMatrix:
-    """Pure-state hafnian matrix from the circuit transfer matrix.
-
-    Parameters
-    ----------
-    transfer : ndarray
-        Mode transfer matrix ``K`` in the creation-operator convention;
-        for a circuit built here that is
-        ``conj(accumulate_unitary(circuit))``, or only its squeezed
-        columns, ``conj(source_columns(circuit))``.
-    r_vector : ndarray
-        Squeezing parameter of each column of ``transfer`` (zeros for
-        vacuum inputs).
-
-    Returns
-    -------
-    AMatrix
-        ``A = B (+) conj(B)`` with ``B = K diag(tanh r) K^T``, carrying the
-        rank-``2 * n_sources`` factor built from the squeezed columns.
-    """
-    r_vector = np.asarray(r_vector, dtype=float)
-    m = transfer.shape[0]
-    active = np.flatnonzero(r_vector != 0.0)
-    gb = transfer[:, active] * np.sqrt(np.tanh(r_vector[active]))
-    b = gb @ gb.T
-    a = np.zeros((2 * m, 2 * m), dtype=complex)
-    a[:m, :m] = b
-    a[m:, m:] = b.conj()
-    factor = np.zeros((2 * m, 2 * len(active)), dtype=complex)
-    factor[:m, : len(active)] = gb
-    factor[m:, len(active) :] = gb.conj()
-    return AMatrix(a, factor=factor)
-
-
-def circuit_pure_a(circuit: Circuit, lattice: LatticeSpec, squeezing: float) -> AMatrix:
-    """Pure-state ``A`` of the circuit acting on the squeezed sources."""
-    return b_matrix(source_columns(circuit).conj(), np.full(lattice.n_sources, squeezing))
 
 
 def block_approx_covariance(
@@ -378,65 +272,3 @@ def tvd_bound(norm_x: float, n_sources: int, squeezing: float) -> float:
     """Distribution-distance bound ``(N cosh(4r) ||X||^2 / 2)^{1/4}``."""
     return (n_sources * math.cosh(4.0 * squeezing) * norm_x**2 / 2.0) ** 0.25
 
-
-def symplectic_eigenvalues(cov: QuadCovariance) -> np.ndarray:
-    """Williamson spectrum, descending; vacuum modes give 1/2."""
-    omega = symplectic_form(cov.n_modes)
-    evals = np.linalg.eigvals(omega @ cov.matrix)
-    nus = np.sort(np.abs(evals))[::-1]
-    return nus[::2]  # each value appears twice (+/- i nu pairs)
-
-
-_COV_MAGIC = b"BV"
-_COV_ORDERING_TAG = 1  # interleaved (x_0, p_0, x_1, p_1, ...)
-
-
-def save_covariance(path, cov: QuadCovariance) -> None:
-    """Write a covariance as little-endian float64 with an 8-byte header.
-
-    Header layout: 2-byte magic ``BV``, uint32 mode count, uint16 ordering
-    tag (1 = interleaved quadratures); then the 2Mx2M matrix row-major.
-    """
-    header = struct.pack("<2sIH", _COV_MAGIC, cov.n_modes, _COV_ORDERING_TAG)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(cov.matrix, dtype="<f8").tobytes())
-
-
-def load_covariance(path) -> QuadCovariance:
-    """Read back :func:`save_covariance` output, verifying the header."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        magic, n_modes, tag = struct.unpack("<2sIH", header)
-        if magic != _COV_MAGIC:
-            raise ValueError(f"bad covariance magic {magic!r}")
-        if tag != _COV_ORDERING_TAG:
-            raise ValueError(f"unsupported ordering tag {tag}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    side = 2 * n_modes
-    if data.size != side * side:
-        raise ValueError(f"expected {side * side} entries, found {data.size}")
-    return QuadCovariance(data.reshape(side, side).astype(float))
-
-
-def covariance_to_json(cov: QuadCovariance) -> str:
-    """Small-matrix JSON form with 17-significant-digit entries."""
-    rows = [
-        "[" + ",".join(format(x, ".17g") for x in row) + "]" for row in cov.matrix
-    ]
-    return (
-        '{"format":"bls-covariance","version":1,'
-        f'"n_modes":{cov.n_modes},"ordering":"xpxp",'
-        '"matrix":[' + ",".join(rows) + "]}"
-    )
-
-
-def covariance_from_json(text: str) -> QuadCovariance:
-    import json
-
-    doc = json.loads(text)
-    if doc.get("format") != "bls-covariance":
-        raise ValueError(f"unrecognized covariance format {doc.get('format')!r}")
-    if doc.get("ordering") != "xpxp":
-        raise ValueError(f"unsupported ordering {doc.get('ordering')!r}")
-    return QuadCovariance(np.array(doc["matrix"], dtype=float))

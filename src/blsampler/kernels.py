@@ -145,8 +145,8 @@ def repeat_rows_cols(a: np.ndarray, counts) -> np.ndarray:
     For a ``2M x 2M`` matrix in ``(modes, conjugate modes)`` ordering,
     index ``j`` and its partner ``j + M`` are both repeated ``counts[j]``
     times, giving a ``2 * sum(counts)`` square matrix.  A plain ``M x M``
-    matrix repeats single indices instead (used by the pure-state path,
-    one row per photon).  ``counts == (1, ..., 1)`` reproduces the input.
+    matrix repeats single indices instead, one row per photon (the tests'
+    cross-checks use it).  ``counts == (1, ..., 1)`` reproduces the input.
     """
     a = np.asarray(a)
     counts = np.asarray(counts, dtype=int)

@@ -188,8 +188,8 @@ def marginal_prob(sigma: ComplexCovariance, counts) -> float:
 class ChainRuleEngine:
     """Mode-by-mode conditional sampler for one Gaussian state.
 
-    Precomputes, per prefix length k, the reduced covariance's hafnian
-    matrix, its thin symmetric factor, and the normalization
+    Precomputes, per prefix length k, the reduced covariance's thin
+    symmetric hafnian factor and the normalization
     ``1/sqrt(det(Sigma^(k) + I/2))``.  Joint-probability sweeps
     ``P(prefix, n)`` for ``n = 0, 1, ...`` are cached per prefix, so
     repeated samples from the same state reuse every conditional they
@@ -198,7 +198,8 @@ class ChainRuleEngine:
     States whose factor exceeds ``LOW_RANK_COLUMN_CAP`` columns (more
     than two effective squeezed modes) fall back to the reference
     hafnian per entry, with its dimension cap; beyond that the sweep
-    raises rather than silently truncating.
+    raises rather than silently truncating.  Only those prefixes keep
+    their full hafnian matrix.
     """
 
     def __init__(self, sigma: ComplexCovariance, policy: TruncationPolicy):
@@ -213,7 +214,8 @@ class ChainRuleEngine:
             am = a_matrix(red)
             factor = takagi_factor(am.matrix)
             self._factors.append(factor)
-            self._amats.append(am.matrix)
+            general = factor.shape[1] > LOW_RANK_COLUMN_CAP
+            self._amats.append(am.matrix if general else None)
             self._norms.append(math.exp(-0.5 * _logdet_q(red.matrix)))
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
         max_rank = max(f.shape[1] for f in self._factors[1:]) if self.n_modes else 0

@@ -5,13 +5,14 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import blsampler
-from blsampler.cli import _build_parser, main, validate
+from blsampler.cli import ALL_MODES, _build_parser, main, validate
 from blsampler.diagnostics import leakage_bound
 from blsampler.errors import ConditioningError, SizeCapError
 
@@ -514,3 +515,38 @@ def test_numerical_failure_exits_four(monkeypatch, capsys):
 def test_log_environment_variable_smoke(monkeypatch, tmp_path):
     monkeypatch.setenv("BLS_LOG", "info")
     assert main(["--mode", "kernels-selftest"]) == 0
+
+
+def _fuzz_argv(rng, out):
+    """One seeded CLI config from the ranges the contract fuzz covers."""
+    mode = rng.choice([m for m in ALL_MODES if m != "kernels-selftest"])
+    argv = ["--mode", mode, "--dim", str(rng.randint(1, 2)),
+            "--sources", str(rng.randint(1, 3)),
+            "--sublattice-edge", str(rng.randint(1, 3)),
+            "--depth", str(rng.randint(0, 5)), "--samples", str(rng.randint(2, 3)),
+            "--seed", str(rng.randrange(1000)), "--out", str(out)]
+    if rng.random() < 0.8:
+        argv += ["--squeezing", str(rng.choice([0, 0.05, 0.5, 1, 2.5, 50, 200, 400]))]
+    if rng.random() < 0.7:
+        argv += ["--epsilon", str(rng.choice([1e-12, 1e-6, 0.3]))]
+    return argv
+
+
+def test_seeded_config_fuzz_keeps_the_exit_contract(tmp_path, capsys, monkeypatch):
+    # every config either runs or is refused with a documented exit code
+    # and JSON-only stderr, never a traceback
+    monkeypatch.delenv("BLS_LOG", raising=False)
+    rng = random.Random(2024)
+    ran = 0
+    for i in range(200):
+        argv = _fuzz_argv(rng, tmp_path / f"out{i}")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        for line in capsys.readouterr().err.splitlines():
+            if line.strip():
+                json.loads(line)
+        ran += code == 0
+    assert ran > 0

@@ -1,6 +1,5 @@
 """Covariance construction, conversions, purity/fidelity, bound evaluators."""
 
-import json
 import math
 
 import numpy as np
@@ -14,23 +13,15 @@ from blsampler import (
     beam_splitter_unitary,
     block_approx_covariance,
     build_lattice,
-    circuit_pure_a,
-    complex_to_quad,
-    covariance_from_json,
-    covariance_to_json,
     fidelity,
     frobenius_diff,
     infidelity_bound,
-    input_covariance,
-    load_covariance,
     purity_defect,
     quad_to_complex,
     reduce_complex,
     reduce_quad,
     sample_random_circuit,
-    save_covariance,
     state_covariance,
-    symplectic_eigenvalues,
     tvd_bound,
     x_norm_bound,
 )
@@ -44,19 +35,29 @@ def _vacuum(n_modes: int) -> QuadCovariance:
     return QuadCovariance(np.eye(2 * n_modes) / 2.0)
 
 
+def _symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
+    """Williamson spectrum of ``v``, descending; vacuum modes give 1/2.
+
+    The eigenvalues of ``Omega V`` are ``+/- i nu``, so each modulus
+    appears twice.
+    """
+    omega = np.kron(np.eye(v.shape[0] // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    nus = np.sort(np.abs(np.linalg.eigvals(omega @ v)))[::-1]
+    return nus[::2]
+
+
+def _complex_to_quad(sigma: np.ndarray) -> np.ndarray:
+    """Back to interleaved quadratures from ``a_j = (x_j + i p_j) / sqrt 2``."""
+    m = sigma.shape[0] // 2
+    j = np.arange(m)
+    t = np.zeros((2 * m, 2 * m), dtype=complex)
+    t[j, 2 * j] = t[j + m, 2 * j] = 1.0 / math.sqrt(2.0)
+    t[j, 2 * j + 1] = 1j / math.sqrt(2.0)
+    t[j + m, 2 * j + 1] = -1j / math.sqrt(2.0)
+    return (t.conj().T @ sigma @ t).real
+
+
 # ------------------------------------------------------------ construction
-
-
-def test_input_covariance_squeezes_only_sources():
-    lat = build_lattice(1, 2, 4)
-    cov = input_covariance(lat, 0.7)
-    diag = np.diag(cov.matrix)
-    expected = np.full(16, 0.5)
-    for src in lat.sources:
-        expected[2 * src] = math.exp(2 * 0.7) / 2.0
-        expected[2 * src + 1] = math.exp(-2 * 0.7) / 2.0
-    assert np.allclose(diag, expected)
-    assert np.allclose(cov.matrix, np.diag(diag))
 
 
 def test_state_covariance_stays_pure():
@@ -64,7 +65,7 @@ def test_state_covariance_stays_pure():
     circ = sample_random_circuit(lat, 4, np.random.default_rng(2))
     cov = state_covariance(circ, lat, 0.8)
     assert purity_defect(cov) < 1e-10
-    nus = symplectic_eigenvalues(cov)
+    nus = _symplectic_eigenvalues(cov.matrix)
     assert np.allclose(nus, 0.5, atol=1e-10)
 
 
@@ -82,8 +83,8 @@ def test_quad_complex_round_trip():
     lat = build_lattice(1, 1, 3)
     circ = sample_random_circuit(lat, 3, np.random.default_rng(6))
     cov = state_covariance(circ, lat, 0.5)
-    back = complex_to_quad(quad_to_complex(cov))
-    assert np.allclose(back.matrix, cov.matrix, atol=1e-12)
+    back = _complex_to_quad(quad_to_complex(cov).matrix)
+    assert np.allclose(back, cov.matrix, atol=1e-12)
 
 
 def test_reduction_commutes_with_conversion():
@@ -102,7 +103,7 @@ def test_reduced_state_is_mixed():
     cov = state_covariance(circ, lat, 0.9)
     sub = reduce_quad(cov, [0, 1])
     assert purity_defect(sub) > 1e-4
-    assert symplectic_eigenvalues(sub).max() > 0.5
+    assert _symplectic_eigenvalues(sub.matrix).max() > 0.5
 
 
 # ---------------------------------------------------------------- a-matrix
@@ -117,17 +118,6 @@ def test_pure_a_matrix_is_block_structured():
     assert np.abs(a[:m, m:]).max() < 1e-10
     assert np.abs(a[m:, :m]).max() < 1e-10
     assert np.allclose(a[m:, m:], a[:m, :m].conj(), atol=1e-10)
-
-
-def test_circuit_pure_a_matches_covariance_route():
-    lat = build_lattice(1, 2, 2)
-    circ = sample_random_circuit(lat, 4, np.random.default_rng(14))
-    direct = circuit_pure_a(circ, lat, 0.4)
-    via_cov = a_matrix(quad_to_complex(state_covariance(circ, lat, 0.4)))
-    m = lat.n_modes
-    assert np.allclose(
-        direct.matrix[:m, :m], via_cov.matrix[:m, :m], atol=1e-10
-    )
 
 
 def test_a_matrix_vacuum_is_zero():
@@ -281,25 +271,3 @@ def test_covariances_match_gate_by_gate_symplectic(dim, edge, depth):
         alone = s @ _squeezed_input(lat, [src], r) @ s.T
         assert np.abs(block.matrix - alone[np.ix_(q, q)]).max() < 1e-12
 
-
-# ------------------------------------------------------------ serialization
-
-
-def test_covariance_binary_round_trip(tmp_path):
-    lat = build_lattice(1, 1, 3)
-    circ = sample_random_circuit(lat, 3, np.random.default_rng(28))
-    cov = state_covariance(circ, lat, 0.4)
-    path = tmp_path / "state.cov"
-    save_covariance(path, cov)
-    back = load_covariance(path)
-    assert np.array_equal(back.matrix, cov.matrix)
-
-
-def test_covariance_json_round_trip():
-    lat = build_lattice(1, 1, 2)
-    circ = sample_random_circuit(lat, 2, np.random.default_rng(30))
-    cov = state_covariance(circ, lat, 0.4)
-    text = covariance_to_json(cov)
-    json.loads(text)
-    back = covariance_from_json(text)
-    assert np.allclose(back.matrix, cov.matrix, atol=1e-15)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ def test_exact_sampler_is_stream_deterministic():
     a = ChainRuleEngine(sigma, policy).sample(np.random.default_rng([4, 7]))
     b = ChainRuleEngine(sigma, policy).sample(np.random.default_rng([4, 7]))
     assert np.array_equal(a, b)
+
+
+def test_chain_rule_engine_keeps_no_hafnian_matrix_on_the_low_rank_path():
+    # every prefix of this rank-4 state takes the moment sweep, so the
+    # engine needs only the thin factors: a 2k x 2k complex matrix per
+    # prefix would retain about 5.7 MB at M = 64
+    lat, sigma = _pure_sigma(1, 2, 32, 8, 0.5, 13)
+    assert lat.n_modes == 64
+    tracemalloc.start()
+    try:
+        engine = ChainRuleEngine(sigma, truncation_threshold(2, 0.5, 1e-6))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert max(f.shape[1] for f in engine._factors[1:]) <= 4
+    assert retained < 1_000_000
 
 
 # ------------------------------------------------------------ block sampler
