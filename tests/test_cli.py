@@ -261,6 +261,20 @@ def test_fock_sampler_conserves_photons(tmp_path):
             "2f01639fde180ecbdb1abe7614627f80391fb111d54150f6198e478c03d1e559",
             id="diagnose-bounds",
         ),
+        # pinned before the lattice geometry became arrays and the walk
+        # moved onto it: leakage, and the walk at N=1, must not move
+        pytest.param(
+            "--mode diagnose-leakage --dim 2 --sources 4 --sublattice-edge 2 "
+            "--depth 3 --samples 5 --seed 5",
+            "2a7bc089d0b3e7f68a31a60b6a8ee373f9bbc6b6b1643bdb278ad68e8e739dfd",
+            id="diagnose-leakage",
+        ),
+        pytest.param(
+            "--mode diagnose-walk --dim 2 --sublattice-edge 3 --depth 3 "
+            "--samples 5 --seed 5",
+            "96e6339c7b6336f316dda97e65ffb978de3aa2fe3709ad47070341f18fb91b67",
+            id="diagnose-walk",
+        ),
     ],
 )
 def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
