@@ -23,8 +23,9 @@ from blsampler import (
 lat = build_lattice(dim=1, n_sources=2, edge=4)
 print("== geometry ==")
 print(f"modes        : {lat.n_modes}")
-print(f"sublattices  : {lat.sublattices}")
-print(f"sources      : {lat.sources}")
+print(f"sublattices  : read-only {lat.sublattices.shape} array, row b = block b's modes")
+print(lat.sublattices)
+print(f"sources      : {lat.sources}  (column L // 2 = {lat.edge // 2} of each row)")
 
 print()
 print("== brickwork layers on 8 modes ==")

@@ -20,7 +20,7 @@ from blsampler import (
 )
 
 print("== the averaging-map law behind the diffusive picture ==")
-profile = random_walk_profile(1, 8, 4, 4000, np.random.default_rng(1))
+profile = random_walk_profile(build_lattice(1, 1, 8), 4, 4000, np.random.default_rng(1))
 print("mean |U_{j,s}|^2 from mode", profile.source, "after each layer:")
 for t in range(5):
     emp = " ".join(f"{w:.3f}" for w in profile.empirical[t])

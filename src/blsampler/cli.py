@@ -146,10 +146,11 @@ def validate(args) -> tuple[dict, list[str]]:
     config: dict = {"mode": mode}
     if mode == "kernels-selftest":
         config["out"] = args.out
-        for name in ("dim", "sources", "edge", "depth", "squeezing", "samples", "seed"):
+        for name in ("dim", "sources", "edge", "depth", "squeezing", "source_type",
+                     "detector", "epsilon", "samples", "seed", "threads"):
             if getattr(args, name) is not None:
-                label = "--sublattice-edge" if name == "edge" else f"--{name}"
-                problems.append(f"{label} has no effect in kernels-selftest")
+                flag = {"edge": "sublattice-edge", "source_type": "source-type"}.get(name, name)
+                problems.append(f"--{flag} has no effect in kernels-selftest")
         return config, problems
 
     source_type = args.source_type
@@ -347,8 +348,7 @@ def _run_leakage(config: dict) -> str:
 
 def _run_walk(config: dict) -> str:
     profile = random_walk_profile(
-        config["dim"],
-        config["n_modes"],
+        build_lattice(config["dim"], config["n_sources"], config["edge"]),
         config["depth"],
         config["n_samples"],
         np.random.default_rng([config["seed"]]),

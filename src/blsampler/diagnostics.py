@@ -559,11 +559,11 @@ def leakage_rate(
     """Measured per-source leakage of the full ``U`` or its source columns:
     column weight outside the home block."""
     cols = _source_cols(unitary, lattice)
-    etas = []
-    for b, modes in enumerate(lattice.sublattices):
-        outside = np.ones(lattice.n_modes, dtype=bool)
-        outside[np.asarray(modes, dtype=int)] = False
-        etas.append(float((np.abs(cols[outside, b]) ** 2).sum()))
+    outside = np.ones((lattice.n_sources, lattice.n_modes), dtype=bool)
+    outside[np.arange(lattice.n_sources)[:, None], lattice.sublattices] = False
+    etas = [
+        float((np.abs(cols[out, b]) ** 2).sum()) for b, out in enumerate(outside)
+    ]
     bound = None if depth is None else leakage_bound(lattice.dim, lattice.edge, depth)
     return LeakageReport(
         per_source_eta=tuple(etas),
@@ -593,28 +593,20 @@ class WalkProfile:
 
 
 def random_walk_profile(
-    dim: int,
-    n_modes: int,
+    lattice: LatticeSpec,
     depth: int,
     n_trials: int,
     rng: np.random.Generator,
     source: int | None = None,
 ) -> WalkProfile:
-    """Monte-Carlo mean of ``|U_{j,s}|^2`` against the averaging-map law."""
+    """Monte-Carlo mean of ``|U_{j,s}|^2`` against the averaging-map law,
+    on the lattice's mode grid; the walk starts at ``source``, by default
+    source 0 of the lattice (the centre of its first cube)."""
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2 (stderr needs two trials)")
-    if dim == 1:
-        grid_shape: tuple[int, ...] = (n_modes,)
-    else:
-        edge = round(n_modes ** (1.0 / dim))
-        if edge**dim != n_modes:
-            raise ValueError(
-                f"{n_modes} modes do not form a {dim}-dimensional cube"
-            )
-        grid_shape = (edge,) * dim
+    grid_shape, n_modes = lattice.grid_shape, lattice.n_modes
     if source is None:
-        center = tuple(g // 2 for g in grid_shape)
-        source = int(np.ravel_multi_index(center, grid_shape))
+        source = int(lattice.sources[0])
     amps = np.zeros((n_trials, n_modes), dtype=complex)
     amps[:, source] = 1.0
     empirical = np.zeros((depth + 1, n_modes))

@@ -207,7 +207,7 @@ def block_approx_covariance(
     """
     columns = source_columns(circuit)
     blocks = tuple(
-        QuadCovariance(_squeezed_covariance(columns[list(modes), b : b + 1], squeezing))
+        QuadCovariance(_squeezed_covariance(columns[modes, b : b + 1], squeezing))
         for b, modes in enumerate(lattice.sublattices)
     )
     return BlockApproxCovariance(lattice=lattice, blocks=blocks, columns=columns)

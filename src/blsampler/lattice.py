@@ -3,11 +3,16 @@
 Geometry of source sublattices, random shallow circuits made of two-mode
 beam splitters, and the resulting mode unitaries.  Mode indices are the
 row-major raveling of a d-dimensional grid obtained by tiling one cube of
-edge ``L`` per source.  A circuit holds per layer a ``(g, 2)`` array of
-mode pairs and one of ``(theta, phi)`` angles; layer ``ell`` acts along
-axis ``(ell % 2d) // 2`` and pairs sites starting at coordinate offset 1 on
-the first pass over an axis and offset 0 on the second, so a full round of
-2d layers couples every bond of the lattice once.
+edge ``L`` per source.  :func:`build_lattice` reshapes that grid to axes
+``(t_0, L, t_1, L, ...)``, moves the cube axes to the front and reshapes
+again, so row ``b`` of the ``(N, L^d)`` result lists cube ``b``'s modes;
+each source is the cube's column at the centre offset ``L // 2`` per axis.
+
+A circuit holds per layer a ``(g, 2)`` array of mode pairs and one of
+``(theta, phi)`` angles; layer ``ell`` acts along axis ``(ell % 2d) // 2``
+and pairs sites starting at coordinate offset 1 on the first pass over an
+axis and offset 0 on the second, so a full round of 2d layers couples
+every bond of the lattice once.
 
 Gates are ordered within a layer by their lower mode index, and
 :func:`sample_random_circuit` draws each layer's angles as a single
@@ -68,7 +73,7 @@ def _tile_shape(n_sources: int, dim: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeSpec:
     """Sublattice geometry: one cube of edge ``edge`` per squeezed source.
 
@@ -84,11 +89,12 @@ class LatticeSpec:
         Total mode count ``M = n_sources * edge**dim``.
     grid_shape : tuple of int
         Shape of the global mode grid (row-major raveled into indices).
-    sublattices : tuple of tuple of int
-        Sorted mode indices of each cube.
-    sources : tuple of int
-        Mode index of each source (offset ``edge // 2`` along every axis
-        of its cube).
+    sublattices : np.ndarray
+        Read-only ``(N, L^d)`` intp array; row ``b`` holds the sorted mode
+        indices of cube ``b``.
+    sources : np.ndarray
+        Read-only ``(N,)`` intp array: the mode of each source (offset
+        ``edge // 2`` along every axis of its cube).
     k_scale, gamma_scale : float
         Scale parameters in the report convention ``M = k * N**gamma``
         (``k = 1`` for ``N >= 2``; degenerate single-source lattices
@@ -100,8 +106,8 @@ class LatticeSpec:
     edge: int
     n_modes: int
     grid_shape: tuple[int, ...]
-    sublattices: tuple[tuple[int, ...], ...]
-    sources: tuple[int, ...]
+    sublattices: np.ndarray
+    sources: np.ndarray
     k_scale: float
     gamma_scale: float
 
@@ -116,16 +122,15 @@ def build_lattice(dim: int, n_sources: int, edge: int) -> LatticeSpec:
         raise ValueError(f"edge must be >= 1, got {edge}")
     tile = _tile_shape(n_sources, dim)
     grid_shape = tuple(t * edge for t in tile)
-    n_modes = int(np.prod(grid_shape))
-    mode_grid = np.arange(n_modes).reshape(grid_shape)
-
-    sublattices = []
-    sources = []
-    for cube in np.ndindex(*tile):
-        window = tuple(slice(c * edge, (c + 1) * edge) for c in cube)
-        sublattices.append(tuple(int(m) for m in np.sort(mode_grid[window].ravel())))
-        center = tuple(c * edge + edge // 2 for c in cube)
-        sources.append(int(np.ravel_multi_index(center, grid_shape)))
+    n_modes = math.prod(grid_shape)
+    split = np.arange(n_modes, dtype=np.intp).reshape(
+        [n for t in tile for n in (t, edge)]
+    )
+    sublattices = split.transpose(
+        [*range(0, 2 * dim, 2), *range(1, 2 * dim, 2)]
+    ).reshape(n_sources, edge**dim)
+    sublattices.setflags(write=False)
+    centre = int(np.ravel_multi_index((edge // 2,) * dim, (edge,) * dim))
 
     if n_sources >= 2:
         k_scale, gamma_scale = 1.0, math.log(n_modes) / math.log(n_sources)
@@ -137,8 +142,8 @@ def build_lattice(dim: int, n_sources: int, edge: int) -> LatticeSpec:
         edge=edge,
         n_modes=n_modes,
         grid_shape=grid_shape,
-        sublattices=tuple(sublattices),
-        sources=tuple(sources),
+        sublattices=sublattices,
+        sources=sublattices[:, centre],  # a view, so read-only too
         k_scale=k_scale,
         gamma_scale=gamma_scale,
     )
@@ -295,7 +300,7 @@ def source_columns(circuit: Circuit) -> np.ndarray:
     """
     lat = circuit.lattice
     cols = np.zeros((lat.n_modes, lat.n_sources), dtype=complex)
-    cols[list(lat.sources), range(lat.n_sources)] = 1.0
+    cols[lat.sources, range(lat.n_sources)] = 1.0
     return _apply_gates(circuit, cols)
 
 
@@ -310,7 +315,7 @@ def _source_cols(u, lattice: LatticeSpec) -> np.ndarray:
     u = np.asarray(u)
     m, n = lattice.n_modes, lattice.n_sources
     if u.shape == (m, m):
-        return u[:, list(lattice.sources)]
+        return u[:, lattice.sources]
     if u.shape == (m, n):
         return u
     raise ValueError(

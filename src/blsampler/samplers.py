@@ -389,7 +389,6 @@ class BlockApproxSampler:
         self.policy = policy
         self._blocks = []
         for b, modes in enumerate(lattice.sublattices):
-            modes = np.asarray(modes, dtype=int)
             route = np.cumsum(np.abs(columns[modes, b, None]) ** 2, axis=0)
             q = min(route[-1, 0], 1.0)  # rounding can push the share past one
             law = _block_total_law(squeezing, q, policy.n_total_max)

@@ -224,7 +224,9 @@ def test_c05_fock_interference_and_distance_bound():
 
 def test_c06_random_walk_averaging_law():
     start = time.perf_counter()
-    profile = random_walk_profile(1, 16, 8, 10_000, np.random.default_rng(2026))
+    profile = random_walk_profile(
+        build_lattice(1, 1, 16), 8, 10_000, np.random.default_rng(2026)
+    )
     gap = np.abs(profile.empirical - profile.theory)
     # +1e-9 guards sites whose amplitude is identically zero (stderr 0)
     ok_sites = gap <= 3.0 * profile.stderr + 1e-9

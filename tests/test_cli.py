@@ -297,9 +297,11 @@ def test_kernels_selftest_writes_report(tmp_path, capsys):
 
 
 def test_kernels_selftest_rejects_other_flags(capsys):
-    assert main(["--mode", "kernels-selftest", "--dim", "1"]) == 2
-    problems = _stderr_json(capsys)["problems"]
-    assert any("--dim has no effect" in p for p in problems)
+    for flag, value in [("--dim", "1"), ("--epsilon", "0.5"), ("--threads", "4"),
+                        ("--detector", "threshold"), ("--source-type", "fock")]:
+        assert main(["--mode", "kernels-selftest", flag, value]) == 2
+        problems = _stderr_json(capsys)["problems"]
+        assert problems == [f"{flag} has no effect in kernels-selftest"]
 
 
 # ------------------------------------------------------------- diagnostics
@@ -370,6 +372,29 @@ def test_walk_defaults_to_single_source(tmp_path):
             float(r["empirical"]) for r in rows if r["depth"] == str(depth)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "args, walk_source",
+    [
+        # a 2 x 4 grid of two edge-2 squares: a valid lattice, not a cube
+        ("--dim 2 --sources 2 --sublattice-edge 2", 5),
+        # two edge-4 cubes: the sources are modes 2 and 6, not the centre 4
+        ("--dim 1 --sources 2 --sublattice-edge 4", 2),
+    ],
+    ids=["2d-two-sources", "1d-two-sources"],
+)
+def test_walk_runs_on_the_lattice_from_source_zero(tmp_path, args, walk_source):
+    out = tmp_path / "walk.csv"
+    argv = ["--mode", "diagnose-walk", *args.split(), "--depth", "2", "--samples", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    config = json.loads(lines[0][len("# config: ") :])
+    assert config["walk_source"] == walk_source
+    rows = list(csv.DictReader(lines[1:]))
+    assert len(rows) == 3 * config["n_modes"]
+    start = [float(r["theory"]) for r in rows if r["depth"] == "0"]
+    assert start.index(1.0) == walk_source
 
 
 def test_bounds_json_artifact(tmp_path):

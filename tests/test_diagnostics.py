@@ -599,7 +599,7 @@ def test_leakage_rate_respects_light_cone():
 
 
 def test_walk_profile_conserves_and_matches_map():
-    profile = random_walk_profile(1, 8, 4, 400, np.random.default_rng(23))
+    profile = random_walk_profile(build_lattice(1, 1, 8), 4, 400, np.random.default_rng(23))
     assert profile.empirical.shape == (5, 8)
     assert np.allclose(profile.empirical.sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(profile.theory.sum(axis=1), 1.0, atol=1e-12)
@@ -610,18 +610,23 @@ def test_walk_profile_conserves_and_matches_map():
 
 
 def test_walk_profile_validates_inputs():
-    rng = np.random.default_rng(24)
+    rng, lat = np.random.default_rng(24), build_lattice(1, 1, 8)
     with pytest.raises(ValueError):
-        random_walk_profile(1, 8, 2, 0, rng)
+        random_walk_profile(lat, 2, 0, rng)
     with pytest.raises(ValueError):
-        random_walk_profile(1, 8, 2, 1, rng)  # one trial has no stderr
-    with pytest.raises(ValueError):
-        random_walk_profile(2, 10, 2, 5, rng)  # 10 modes are not a square
+        random_walk_profile(lat, 2, 1, rng)  # one trial has no stderr
 
 
 def test_walk_profile_default_source_is_center():
-    profile = random_walk_profile(1, 8, 1, 2, np.random.default_rng(25))
-    assert profile.source == 4
+    # source 0 of the lattice: the centre of its first cube, not of the grid
+    # (sources 2 and 6 for two edge-4 cubes, 5 and 7 on the 2 x 4 grid of
+    # two edge-2 squares, which is not a cube)
+    for (dim, n_sources, edge), want in [((1, 1, 8), 4), ((1, 2, 4), 2), ((2, 2, 2), 5)]:
+        lat = build_lattice(dim, n_sources, edge)
+        profile = random_walk_profile(lat, 2, 2, np.random.default_rng(25))
+        assert profile.source == want
+        assert profile.theory[0].tolist() == np.eye(lat.n_modes)[want].tolist()
+        assert np.allclose(profile.theory.sum(axis=1), 1.0, atol=1e-12)
 
 
 def _walk_with_complex_exp(grid_shape, source, depth, n_trials, rng):
@@ -653,15 +658,15 @@ def _walk_with_complex_exp(grid_shape, source, depth, n_trials, rng):
 
 
 @pytest.mark.parametrize(
-    "dim, n_modes, depth", [(1, 32, 16), (2, 64, 12)], ids=["d1", "d2"]
+    "dim, edge, depth", [(1, 32, 16), (2, 8, 12)], ids=["d1", "d2"]
 )
-def test_walk_profile_matches_complex_exp_phases_bit_for_bit(dim, n_modes, depth):
+def test_walk_profile_matches_complex_exp_phases_bit_for_bit(dim, edge, depth):
     # the walk takes its gate entries from the circuit replay's formula,
     # cos + i sin; it must give what the walk's own exp(i phi) gave
-    profile = random_walk_profile(dim, n_modes, depth, 300, np.random.default_rng(26))
-    grid_shape = (round(n_modes ** (1.0 / dim)),) * dim
+    lat = build_lattice(dim, 1, edge)
+    profile = random_walk_profile(lat, depth, 300, np.random.default_rng(26))
     want = _walk_with_complex_exp(
-        grid_shape, profile.source, depth, 300, np.random.default_rng(26)
+        lat.grid_shape, profile.source, depth, 300, np.random.default_rng(26)
     )
     for got, ref in zip((profile.empirical, profile.stderr, profile.theory), want):
         assert np.array_equal(got, ref)

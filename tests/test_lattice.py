@@ -20,7 +20,7 @@ from blsampler import (
     sample_random_circuit,
     source_columns,
 )
-from blsampler.lattice import _source_cols
+from blsampler.lattice import _source_cols, _tile_shape
 
 
 # ---------------------------------------------------------------- geometry
@@ -30,8 +30,8 @@ def test_lattice_1d_two_sources():
     lat = build_lattice(1, 2, 4)
     assert lat.n_modes == 8
     assert lat.grid_shape == (8,)
-    assert lat.sublattices == ((0, 1, 2, 3), (4, 5, 6, 7))
-    assert lat.sources == (2, 6)  # centered: offset edge // 2
+    assert lat.sublattices.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert lat.sources.tolist() == [2, 6]  # centered: offset edge // 2
     assert lat.k_scale == 1.0
     assert lat.gamma_scale == pytest.approx(math.log(8) / math.log(2))
 
@@ -49,7 +49,7 @@ def test_lattice_2d_four_sources():
 def test_lattice_single_mode():
     lat = build_lattice(1, 1, 1)
     assert lat.n_modes == 1
-    assert lat.sources == (0,)
+    assert lat.sources.tolist() == [0]
     assert lat.k_scale == 1.0 and lat.gamma_scale == 1.0
 
 
@@ -57,6 +57,41 @@ def test_lattice_single_source_scale_convention():
     lat = build_lattice(1, 1, 8)
     assert lat.k_scale == 8.0
     assert lat.gamma_scale == 1.0
+
+
+def _cube_by_cube(dim, n_sources, edge):
+    """The geometry built one cube at a time, as :func:`build_lattice` did
+    before it reshaped the grid: sorted modes and the centre of each cube."""
+    tile = _tile_shape(n_sources, dim)
+    grid_shape = tuple(t * edge for t in tile)
+    mode_grid = np.arange(math.prod(grid_shape)).reshape(grid_shape)
+    sublattices, sources = [], []
+    for cube in np.ndindex(*tile):
+        window = tuple(slice(c * edge, (c + 1) * edge) for c in cube)
+        sublattices.append(np.sort(mode_grid[window].ravel()).tolist())
+        center = tuple(c * edge + edge // 2 for c in cube)
+        sources.append(int(np.ravel_multi_index(center, grid_shape)))
+    return sublattices, sources
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_reshape_matches_cube_by_cube_oracle(dim):
+    for n_sources in (1, 2, 3, 4, 6, 8, 12):
+        for edge in range(1, 6):
+            lat = build_lattice(dim, n_sources, edge)
+            sublattices, sources = _cube_by_cube(dim, n_sources, edge)
+            assert lat.sublattices.shape == (n_sources, edge**dim)
+            assert lat.sublattices.tolist() == sublattices
+            assert lat.sources.tolist() == sources
+            assert lat.sublattices.dtype == lat.sources.dtype == np.intp
+
+
+def test_lattice_arrays_are_read_only():
+    lat = build_lattice(2, 4, 3)
+    with pytest.raises(ValueError):
+        lat.sublattices[0, 0] = 1
+    with pytest.raises(ValueError):
+        lat.sources[0] = 1
 
 
 def test_lattice_rejects_bad_parameters():
@@ -169,7 +204,7 @@ def test_source_cols_slices_the_unitary_and_passes_columns(dim, n_sources, edge)
         assert _source_cols(cols, lat) is cols
     else:
         # M == N: the sources are modes 0..M-1 in order, so slicing is the identity
-        assert lat.sources == tuple(range(lat.n_modes))
+        assert lat.sources.tolist() == list(range(lat.n_modes))
         assert np.array_equal(_source_cols(u, lat), u)
 
 
