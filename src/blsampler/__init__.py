@@ -56,7 +56,6 @@ from .kernels import (
     hafnian_general,
     hafnian_low_rank,
     permanent,
-    repeat_rows_cols,
     run_selftest,
     takagi_factor,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "hafnian_general",
     "hafnian_low_rank",
     "permanent",
-    "repeat_rows_cols",
     "takagi_factor",
     "run_selftest",
     "HAFNIAN_DIM_CAP",

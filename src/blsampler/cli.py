@@ -77,6 +77,17 @@ _DEFAULT_SAMPLES = {
     "diagnose-bounds": 1,
 }
 
+# Optional flags a mode never reads; giving one is refused.  The source
+# type follows the mode: sample-fock has single photons, the rest squeezers.
+_UNREAD = {
+    "kernels-selftest": ("dim", "sources", "edge", "depth", "squeezing",
+                         "detector", "epsilon", "samples", "seed", "threads"),
+    "sample-fock": ("squeezing", "epsilon"),
+    "diagnose-leakage": ("squeezing", "detector", "epsilon"),
+    "diagnose-walk": ("squeezing", "detector", "epsilon"),
+    "diagnose-bounds": ("detector",),
+}
+
 EXIT_INVALID_CONFIG = 2
 EXIT_SIZE_CAP = 3
 EXIT_NUMERICAL = 4
@@ -96,6 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sample photon-number outcomes of random linear-optical "
         "circuits and check the approximation bounds that justify the fast "
         "samplers.",
+        epilog="--squeezing and --epsilon apply to sample-exact, sample-approx and "
+        "diagnose-bounds, --detector to the sampling modes; other modes refuse them.",
     )
     parser.add_argument("--mode", choices=ALL_MODES, help="what to run")
     parser.add_argument("--dim", type=int, help="lattice dimension d >= 1")
@@ -108,12 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--depth", type=int, help="brickwork rounds D >= 0")
     parser.add_argument("--squeezing", type=float, help="squeezing r >= 0")
-    parser.add_argument(
-        "--source-type",
-        choices=("squeezed", "fock"),
-        dest="source_type",
-        help="input state per source (sample-fock implies fock)",
-    )
     parser.add_argument(
         "--detector",
         choices=("pnr", "threshold"),
@@ -144,36 +151,25 @@ def validate(args) -> tuple[dict, list[str]]:
         return {}, problems
 
     config: dict = {"mode": mode}
+    unread = _UNREAD.get(mode, ())
+    for name in unread:
+        if getattr(args, name) is not None:
+            flag = "sublattice-edge" if name == "edge" else name
+            problems.append(f"--{flag} has no effect in {mode}")
     if mode == "kernels-selftest":
         config["out"] = args.out
-        for name in ("dim", "sources", "edge", "depth", "squeezing", "source_type",
-                     "detector", "epsilon", "samples", "seed", "threads"):
-            if getattr(args, name) is not None:
-                flag = {"edge": "sublattice-edge", "source_type": "source-type"}.get(name, name)
-                problems.append(f"--{flag} has no effect in kernels-selftest")
         return config, problems
 
-    source_type = args.source_type
-    if mode == "sample-fock":
-        if source_type == "squeezed":
-            problems.append("sample-fock requires --source-type fock")
-        source_type = "fock"
-    elif source_type is None:
-        source_type = "squeezed"
-
-    squeezing = args.squeezing
-    if source_type == "fock":
-        if squeezing is not None:
-            problems.append("squeezing incompatible with fock sources")
-        squeezing = None
-    elif squeezing is None:
-        if mode in ("sample-exact", "sample-approx", "diagnose-bounds"):
+    squeezing = None
+    if "squeezing" not in unread:
+        squeezing = args.squeezing
+        if squeezing is None:
             problems.append(f"--squeezing is required for {mode}")
-    elif not (0.0 <= squeezing < math.inf):
-        problems.append("--squeezing must be finite and >= 0")
+        elif not (0.0 <= squeezing < math.inf):
+            problems.append("--squeezing must be finite and >= 0")
 
     detector = args.detector or "pnr"
-    if detector == "threshold" and source_type != "squeezed":
+    if detector == "threshold" and mode == "sample-fock":
         problems.append("threshold detection requires squeezed sources")
 
     for name, label, least in [
@@ -221,7 +217,7 @@ def validate(args) -> tuple[dict, list[str]]:
         edge=args.edge,
         depth=args.depth,
         squeezing=squeezing,
-        source_type=source_type,
+        source_type="fock" if mode == "sample-fock" else "squeezed",
         detector=detector,
         epsilon=epsilon,
         n_samples=n_samples,
@@ -260,7 +256,7 @@ def validate(args) -> tuple[dict, list[str]]:
         k_scale=lattice.k_scale,
         gamma_scale=lattice.gamma_scale,
     )
-    if source_type == "squeezed" and squeezing is not None:
+    if squeezing is not None:
         policy = truncation_threshold(config["n_sources"], squeezing, epsilon)
         config.update(
             n_total_max=policy.n_total_max, n_mode_max=policy.n_mode_max

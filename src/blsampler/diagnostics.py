@@ -61,7 +61,7 @@ from .lattice import (
     _source_cols,
     brickwork_pairs,
 )
-from .samplers import TruncationPolicy, _general_prob, _logdet_q
+from .samplers import TruncationPolicy, _logdet_q, _outcome_prob
 
 __all__ = [
     "Distribution",
@@ -432,45 +432,34 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
     the M x M block with one form per photon and squared-magnitude
     hafnians; otherwise the full matrix is factored (two forms per
     photon).  Factor ranks above ``LOW_RANK_COLUMN_CAP`` fall back to
-    the reference hafnian, capped at ``GBS_BRUTE_MAX_MODES`` modes and
-    ``GBS_BRUTE_MAX_TOTAL`` photons.
+    ``samplers._outcome_prob`` on the full factor (the reference hafnian),
+    capped at ``GBS_BRUTE_MAX_MODES`` modes and ``GBS_BRUTE_MAX_TOTAL``
+    photons.
     """
     m = sigma.n_modes
     budget = int(policy.n_total_max)
     mode_cap = int(policy.n_mode_max)
-    am = a_matrix(sigma)
-    a = am.matrix
+    a = a_matrix(sigma).matrix
     norm = math.exp(-0.5 * _logdet_q(sigma.matrix))
     scale = np.abs(a).max()
     off = max(np.abs(a[:m, m:]).max(), np.abs(a[m:, :m]).max())
-    if off <= 1e-10 * max(1.0, scale):
-        factor = takagi_factor(a[:m, :m])
-        if factor.shape[1] == 0:
-            # vacuum, or rounding noise below the factor tolerance
-            return Distribution(np.zeros((1, m), dtype=np.int16), np.array([norm]))
-        if factor.shape[1] <= LOW_RANK_COLUMN_CAP:
-            _dp_guard(m, budget, 1, factor.shape[1])
-            return _dp_enumerate(
-                [[factor[j]] for j in range(m)],
-                factor.shape[1],
-                budget,
-                mode_cap,
-                "abs2",
-                norm,
-            )
-    factor = takagi_factor(a)
+    pure = off <= 1e-10 * max(1.0, scale)
+    factor = takagi_factor(a[:m, :m] if pure else a)
     if factor.shape[1] == 0:
+        # vacuum, or rounding noise below the factor tolerance
         return Distribution(np.zeros((1, m), dtype=np.int16), np.array([norm]))
     if factor.shape[1] <= LOW_RANK_COLUMN_CAP:
-        _dp_guard(m, budget, 2, factor.shape[1])
+        _dp_guard(m, budget, 1 if pure else 2, factor.shape[1])
         return _dp_enumerate(
-            [[factor[j], factor[m + j]] for j in range(m)],
+            [[factor[j]] if pure else [factor[j], factor[m + j]] for j in range(m)],
             factor.shape[1],
             budget,
             mode_cap,
-            "real",
+            "abs2" if pure else "real",
             norm,
         )
+    if pure:
+        factor = takagi_factor(a)  # the reference route reads rows j, M + j
     if m > GBS_BRUTE_MAX_MODES or budget > GBS_BRUTE_MAX_TOTAL:
         raise SizeCapError(
             f"state rank {factor.shape[1]} needs the reference hafnian, "
@@ -484,7 +473,7 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
             if comp.max(initial=0) > mode_cap:
                 continue
             rows.append(comp)
-            probs.append(_general_prob(a, comp, norm))
+            probs.append(_outcome_prob(factor, norm, comp))
     return Distribution(np.array(rows, dtype=np.int16), np.array(probs))
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "hafnian_general",
     "hafnian_low_rank",
     "permanent",
-    "repeat_rows_cols",
     "takagi_factor",
     "run_selftest",
 ]
@@ -137,30 +136,6 @@ def permanent(a: np.ndarray) -> complex:
         sign = -1.0 if (gray.bit_count() & 1) else 1.0
         total += sign * np.prod(row_sums)
     return total * (-1.0) ** n
-
-
-def repeat_rows_cols(a: np.ndarray, counts) -> np.ndarray:
-    """Repeat row/column blocks according to per-mode photon counts.
-
-    For a ``2M x 2M`` matrix in ``(modes, conjugate modes)`` ordering,
-    index ``j`` and its partner ``j + M`` are both repeated ``counts[j]``
-    times, giving a ``2 * sum(counts)`` square matrix.  A plain ``M x M``
-    matrix repeats single indices instead, one row per photon (the tests'
-    cross-checks use it).  ``counts == (1, ..., 1)`` reproduces the input.
-    """
-    a = np.asarray(a)
-    counts = np.asarray(counts, dtype=int)
-    if (counts < 0).any():
-        raise ValueError("counts must be non-negative")
-    m = counts.shape[0]
-    single = np.repeat(np.arange(m), counts)
-    if a.shape[0] == 2 * m:
-        idx = np.concatenate([single, single + m])
-    elif a.shape[0] == m:
-        idx = single
-    else:
-        raise ValueError(f"matrix side {a.shape[0]} matches neither M={m} nor 2M")
-    return a[np.ix_(idx, idx)]
 
 
 def takagi_factor(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -21,6 +21,11 @@ Three samplers live here:
   realizes the permutation-symmetrized distinguishable distribution
   without computing any permanent.
 
+Every Gaussian probability takes one route: :func:`_hafnian_factor` gives
+a state's thin factor ``G`` (``G G^T = A``) and normalization, and
+:func:`_outcome_prob` reads an outcome off the rows ``j, M + j`` of ``G``
+(the engine's moment sweep extends them one photon at a time).
+
 Distributions are truncated by a :class:`TruncationPolicy` and
 renormalized over the allowed window.  Inside a window the chain-rule
 sweep stops early once the residual mass ``P(prefix) - sum_n P(prefix,
@@ -30,6 +35,7 @@ the residual available exactly, so the stop point is deterministic.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -49,7 +55,6 @@ from .kernels import (
     LOW_RANK_COLUMN_CAP,
     hafnian_general,
     hafnian_low_rank,
-    repeat_rows_cols,
     takagi_factor,
 )
 from .lattice import Circuit, LatticeSpec, _source_cols, source_columns
@@ -149,9 +154,30 @@ def _factorials(counts) -> float:
     return fact
 
 
-def _general_prob(a: np.ndarray, counts: np.ndarray, norm: float) -> float:
-    """Same probability through the reference hafnian (no rank limit)."""
-    haf = hafnian_general(repeat_rows_cols(a, counts)).real
+def _hafnian_factor(sigma: ComplexCovariance) -> tuple[np.ndarray, float]:
+    """Thin symmetric factor ``G`` of the hafnian matrix (``G G^T = A``) and
+    the normalization ``1/sqrt(det(Sigma + I/2))`` of the state ``sigma``."""
+    factor = takagi_factor(a_matrix(sigma).matrix)
+    return factor, math.exp(-0.5 * _logdet_q(sigma.matrix))
+
+
+def _outcome_prob(factor: np.ndarray, norm: float, counts) -> float:
+    """``Haf(A_n) norm / prod n_j!`` from the factor rows ``j, M + j``, each
+    pair repeated ``n_j`` times in mode order.
+
+    A rank-0 factor is the vacuum.  Up to ``LOW_RANK_COLUMN_CAP`` columns
+    the low-rank hafnian reads the rows; wider factors go to the reference
+    hafnian of ``G_n G_n^T`` (dimension-capped).
+    """
+    m = factor.shape[0] // 2
+    if factor.shape[1] == 0:
+        return norm if sum(counts) == 0 else 0.0
+    single = np.repeat(np.arange(m), counts)
+    rows = factor[np.stack([single, single + m], axis=1).ravel()]
+    if factor.shape[1] <= LOW_RANK_COLUMN_CAP:
+        haf = hafnian_low_rank(rows).real
+    else:
+        haf = hafnian_general(rows @ rows.T).real
     return max(haf, 0.0) * norm / _factorials(counts)
 
 
@@ -159,11 +185,8 @@ def marginal_prob(sigma: ComplexCovariance, counts) -> float:
     """Probability of the outcome ``counts`` on the state ``sigma``.
 
     ``sigma`` must already be reduced to exactly the modes that
-    ``counts`` describes.  ``Haf(A_n) / (prod n_j! sqrt(det Q))`` uses the
-    low-rank hafnian of the factor rows ``j, M + j`` (each pair repeated
-    ``n_j`` times, in mode order) whenever the state's hafnian matrix has
-    at most ``LOW_RANK_COLUMN_CAP`` columns, and the reference hafnian
-    (dimension-capped) otherwise.
+    ``counts`` describes; the value is :func:`_outcome_prob` on the
+    state's hafnian factor.
     """
     counts = np.asarray(counts, dtype=int)
     if counts.ndim != 1 or counts.shape[0] != sigma.n_modes:
@@ -172,17 +195,7 @@ def marginal_prob(sigma: ComplexCovariance, counts) -> float:
         )
     if (counts < 0).any():
         raise ValueError("counts must be non-negative")
-    am = a_matrix(sigma)
-    norm = math.exp(-0.5 * _logdet_q(sigma.matrix))
-    factor = takagi_factor(am.matrix)
-    if factor.shape[1] == 0:
-        return norm if counts.sum() == 0 else 0.0
-    if factor.shape[1] > LOW_RANK_COLUMN_CAP:
-        return _general_prob(am.matrix, counts, norm)
-    single = np.repeat(np.arange(sigma.n_modes), counts)
-    rows = np.stack([single, single + sigma.n_modes], axis=1).ravel()
-    haf = hafnian_low_rank(factor[rows]).real
-    return max(haf, 0.0) * norm / _factorials(counts)
+    return _outcome_prob(*_hafnian_factor(sigma), counts)
 
 
 class ChainRuleEngine:
@@ -190,41 +203,28 @@ class ChainRuleEngine:
 
     Precomputes, per prefix length k, the reduced covariance's thin
     symmetric hafnian factor and the normalization
-    ``1/sqrt(det(Sigma^(k) + I/2))``.  Joint-probability sweeps
-    ``P(prefix, n)`` for ``n = 0, 1, ...`` are cached per prefix, so
-    repeated samples from the same state reuse every conditional they
-    have in common.
+    ``1/sqrt(det(Sigma^(k) + I/2))`` (:func:`_hafnian_factor`).
+    Joint-probability sweeps ``P(prefix, n)`` for ``n = 0, 1, ...`` are
+    cached per prefix, so repeated samples from the same state reuse every
+    conditional they have in common.
 
-    States whose factor exceeds ``LOW_RANK_COLUMN_CAP`` columns (more
-    than two effective squeezed modes) fall back to the reference
-    hafnian per entry, with its dimension cap; beyond that the sweep
-    raises rather than silently truncating.  Only those prefixes keep
-    their full hafnian matrix.
+    Factors wider than ``LOW_RANK_COLUMN_CAP`` columns (more than two
+    effective squeezed modes) take the dimension-capped reference route;
+    past its cap the sweep raises rather than silently truncating.
     """
 
     def __init__(self, sigma: ComplexCovariance, policy: TruncationPolicy):
         self.policy = policy
         self.n_modes = sigma.n_modes
-        self._factors: list[np.ndarray | None] = [None]  # index by k
-        self._amats: list[np.ndarray | None] = [None]
-        self._norms: list[float] = [1.0]
         all_modes = np.arange(self.n_modes)
+        # index by prefix length k; k = 0 is never swept
+        self._prefixes: list[tuple[np.ndarray, float]] = [(np.zeros((0, 0)), 1.0)]
         for k in range(1, self.n_modes + 1):
-            red = reduce_complex(sigma, all_modes[:k])
-            am = a_matrix(red)
-            factor = takagi_factor(am.matrix)
-            self._factors.append(factor)
-            general = factor.shape[1] > LOW_RANK_COLUMN_CAP
-            self._amats.append(am.matrix if general else None)
-            self._norms.append(math.exp(-0.5 * _logdet_q(red.matrix)))
+            self._prefixes.append(_hafnian_factor(reduce_complex(sigma, all_modes[:k])))
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
-        max_rank = max(f.shape[1] for f in self._factors[1:]) if self.n_modes else 0
-        logger.debug(
-            "chain-rule engine: %d modes, max factor rank %d, budget %d",
-            self.n_modes,
-            max_rank,
-            policy.n_total_max,
-        )
+        rank = max(f.shape[1] for f, _ in self._prefixes)
+        logger.debug("chain-rule engine: %d modes, max factor rank %d, budget %d",
+                     self.n_modes, rank, policy.n_total_max)
 
     def conditional_joints(
         self, prefix: tuple[int, ...], prefix_prob: float | None
@@ -246,89 +246,38 @@ class ChainRuleEngine:
             raise ValueError("prefix already covers every mode")
         placed = int(sum(prefix))
         window = min(self.policy.n_mode_max, self.policy.n_total_max - placed)
-        factor = self._factors[k]
-        norm = self._norms[k]
+        factor, norm = self._prefixes[k]
         if factor.shape[1] == 0:
             # Zero hafnian matrix: the reduced state is vacuum, so the
             # conditional is a point mass on zero photons.
-            joints = np.array([norm if placed == 0 else 0.0])
+            probs, window = iter([norm if placed == 0 else 0.0]), 0
         elif factor.shape[1] <= LOW_RANK_COLUMN_CAP:
-            joints = self._sweep_moments(k, prefix, factor, norm, window, prefix_prob)
+            probs = _moment_probs(prefix, factor, norm)
         else:
-            joints = self._sweep_general(k, prefix, norm, window, prefix_prob)
-        joints.setflags(write=False)
-        self._cache[prefix] = joints
-        return joints
+            probs = _reference_probs(prefix, factor, norm)
+        joints, cum = [], 0.0
 
-    def _sweep_moments(
-        self,
-        k: int,
-        prefix: tuple[int, ...],
-        factor: np.ndarray,
-        norm: float,
-        window: int,
-        prefix_prob: float | None,
-    ) -> np.ndarray:
-        tabs = _moments.tables(factor.shape[1])
-        coeffs = np.ones(1, dtype=complex)
-        degree = 0
-        pfact = _factorials(prefix)
-        for j, nj in enumerate(prefix):
-            for _ in range(int(nj)):
-                coeffs = tabs.multiply_linear(coeffs, degree, factor[j])
-                coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[k + j])
-                degree += 2
-        joints = []
-        fact = 1.0
-        cum = 0.0
-        for n in range(window + 1):
-            if n > 0:
-                coeffs = tabs.multiply_linear(coeffs, degree, factor[k - 1])
-                coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[2 * k - 1])
-                degree += 2
-                fact *= n
-            haf = tabs.moment(coeffs, degree).real
-            p = max(haf, 0.0) * norm / (pfact * fact)
-            joints.append(p)
-            cum += p
-            if prefix_prob is not None and (
-                prefix_prob - cum <= SWEEP_RESIDUAL_RTOL * prefix_prob
-            ):
-                break
-        return np.array(joints)
+        def settled(rtol: float) -> bool:
+            return prefix_prob is not None and prefix_prob - cum <= rtol * prefix_prob
 
-    def _sweep_general(
-        self,
-        k: int,
-        prefix: tuple[int, ...],
-        norm: float,
-        window: int,
-        prefix_prob: float | None,
-    ) -> np.ndarray:
-        a = self._amats[k]
-        placed = int(sum(prefix))
-        joints = []
-        cum = 0.0
         for n in range(window + 1):
-            if 2 * (placed + n) > HAFNIAN_DIM_CAP:
-                if prefix_prob is not None and (
-                    prefix_prob - cum <= 1e-9 * prefix_prob
-                ):
+            p = next(probs)
+            if p is None:  # past the reference hafnian's dimension cap
+                if settled(1e-9):
                     break
                 raise SizeCapError(
                     "conditional sweep needs hafnians beyond the reference cap; "
                     "state rank exceeds the low-rank path "
                     f"({2 * (placed + n)} > {HAFNIAN_DIM_CAP})"
                 )
-            counts = np.array(list(prefix) + [n], dtype=int)
-            p = _general_prob(a, counts, norm)
             joints.append(p)
             cum += p
-            if prefix_prob is not None and (
-                prefix_prob - cum <= SWEEP_RESIDUAL_RTOL * prefix_prob
-            ):
+            if settled(SWEEP_RESIDUAL_RTOL):
                 break
-        return np.array(joints)
+        joints = np.array(joints)
+        joints.setflags(write=False)
+        self._cache[prefix] = joints
+        return joints
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one photon-number outcome (length-``n_modes`` int array)."""
@@ -363,6 +312,38 @@ class ChainRuleEngine:
             prefix = prefix + (n,)
             prefix_prob = float(joints[n])
         return out
+
+
+def _moment_probs(prefix: tuple[int, ...], factor: np.ndarray, norm: float):
+    """``P(prefix, n)`` for ``n = 0, 1, ...``: the prefix's linear forms are
+    multiplied in once, then each ``n`` adds the pair of the swept mode."""
+    k = len(prefix) + 1
+    tabs = _moments.tables(factor.shape[1])
+    coeffs = np.ones(1, dtype=complex)
+    degree = 0
+    pfact = _factorials(prefix)
+    for j, nj in enumerate(prefix):
+        for _ in range(int(nj)):
+            coeffs = tabs.multiply_linear(coeffs, degree, factor[j])
+            coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[k + j])
+            degree += 2
+    fact = 1.0
+    for n in itertools.count():
+        if n > 0:
+            coeffs = tabs.multiply_linear(coeffs, degree, factor[k - 1])
+            coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[2 * k - 1])
+            degree += 2
+            fact *= n
+        haf = tabs.moment(coeffs, degree).real
+        yield max(haf, 0.0) * norm / (pfact * fact)
+
+
+def _reference_probs(prefix: tuple[int, ...], factor: np.ndarray, norm: float):
+    """``P(prefix, n)`` for ``n = 0, 1, ...`` by :func:`_outcome_prob`, then
+    ``None`` once the hafnian dimension would pass ``HAFNIAN_DIM_CAP``."""
+    for n in range(HAFNIAN_DIM_CAP // 2 - int(sum(prefix)) + 1):
+        yield _outcome_prob(factor, norm, prefix + (n,))
+    yield None
 
 
 class BlockApproxSampler:

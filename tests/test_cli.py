@@ -79,7 +79,7 @@ def test_fock_sources_reject_squeezing(capsys):
     )
     assert code == 2
     problems = _stderr_json(capsys)["problems"]
-    assert any("squeezing incompatible with fock sources" in p for p in problems)
+    assert "--squeezing has no effect in sample-fock" in problems
 
 
 def test_threshold_detector_requires_squeezed_sources(capsys):
@@ -275,6 +275,14 @@ def test_fock_sampler_conserves_photons(tmp_path):
             "96e6339c7b6336f316dda97e65ffb978de3aa2fe3709ad47070341f18fb91b67",
             id="diagnose-walk",
         ),
+        # pinned before every Gaussian probability went through one thin
+        # factor: prefixes 5 and 6 have factor rank 6, the reference route
+        pytest.param(
+            "--mode sample-exact --dim 1 --sources 3 --sublattice-edge 2 "
+            "--depth 2 --squeezing 0.1 --samples 20 --seed 5",
+            "b74436ad3e17891584fdf99980b842208a86ad367bee383166ca720ae297757f",
+            id="sample-exact-wide",
+        ),
     ],
 )
 def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
@@ -298,10 +306,58 @@ def test_kernels_selftest_writes_report(tmp_path, capsys):
 
 def test_kernels_selftest_rejects_other_flags(capsys):
     for flag, value in [("--dim", "1"), ("--epsilon", "0.5"), ("--threads", "4"),
-                        ("--detector", "threshold"), ("--source-type", "fock")]:
+                        ("--detector", "threshold")]:
         assert main(["--mode", "kernels-selftest", flag, value]) == 2
         problems = _stderr_json(capsys)["problems"]
         assert problems == [f"{flag} has no effect in kernels-selftest"]
+
+
+@pytest.mark.parametrize("mode", ["sample-exact", "sample-approx", "diagnose-bounds"])
+def test_source_type_flag_is_gone(capsys, mode):
+    # the source type follows the mode; --source-type fock once reached
+    # these modes' squeezing checks with no squeezing and raised TypeError
+    argv = ["--mode", mode, "--source-type", "fock", "--dim", "1", "--sources", "2",
+            "--sublattice-edge", "2", "--depth", "2", "--samples", "3", "--seed", "1",
+            "--out", "x"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line)["error"] for line in err] == ["invalid-config"]
+
+
+@pytest.mark.parametrize(
+    "mode, flag, value",
+    [
+        ("diagnose-leakage", "--squeezing", "400"),
+        ("diagnose-walk", "--squeezing", "400"),
+        ("diagnose-leakage", "--epsilon", "0.5"),
+        ("diagnose-walk", "--epsilon", "0.5"),
+        ("diagnose-leakage", "--detector", "pnr"),
+        ("diagnose-walk", "--detector", "threshold"),
+        ("sample-fock", "--epsilon", "0.5"),
+        ("diagnose-bounds", "--detector", "pnr"),
+    ],
+)
+def test_modes_refuse_flags_they_never_read(capsys, mode, flag, value):
+    # at --squeezing 400 the diagnose modes once exited 3 over a photon
+    # budget they never use
+    argv = ["--mode", mode, "--dim", "1", "--sources", "2", "--sublattice-edge", "2",
+            "--depth", "2", "--samples", "3", "--seed", "1", "--out", "x", flag, value]
+    if mode == "diagnose-bounds":
+        argv += ["--squeezing", "0.5"]
+    assert main(argv) == 2
+    assert _stderr_json(capsys)["problems"] == [f"{flag} has no effect in {mode}"]
+
+
+def test_threads_stays_accepted_by_every_run_mode(tmp_path):
+    for mode in ("diagnose-leakage", "diagnose-walk", "diagnose-bounds"):
+        argv = ["--mode", mode, "--dim", "1", "--sources", "1", "--sublattice-edge", "2",
+                "--depth", "1", "--samples", "2", "--threads", "1",
+                "--out", str(tmp_path / mode)]
+        if mode == "diagnose-bounds":
+            argv += ["--squeezing", "0.5"]
+        assert main(argv) == 0, mode
 
 
 # ------------------------------------------------------------- diagnostics
@@ -556,8 +612,10 @@ def test_log_environment_variable_smoke(monkeypatch, tmp_path):
     assert main(["--mode", "kernels-selftest"]) == 0
 
 
-def _fuzz_argv(rng, out):
-    """One seeded CLI config from the ranges the contract fuzz covers."""
+def _fuzz_argv(rng, out, flag_rng):
+    """One seeded CLI config from the ranges the contract fuzz covers;
+    ``flag_rng`` draws --detector and --threads, so ``rng``'s configs
+    stay those the fuzz has always run."""
     mode = rng.choice([m for m in ALL_MODES if m != "kernels-selftest"])
     argv = ["--mode", mode, "--dim", str(rng.randint(1, 2)),
             "--sources", str(rng.randint(1, 3)),
@@ -568,6 +626,12 @@ def _fuzz_argv(rng, out):
         argv += ["--squeezing", str(rng.choice([0, 0.05, 0.5, 1, 2.5, 50, 200, 400]))]
     if rng.random() < 0.7:
         argv += ["--epsilon", str(rng.choice([1e-12, 1e-6, 0.3]))]
+    detector = flag_rng.choice([None, "pnr", "threshold"])
+    if detector is not None:
+        argv += ["--detector", detector]
+    threads = flag_rng.choice([None, 0, 1, 2])
+    if threads is not None:
+        argv += ["--threads", str(threads)]
     return argv
 
 
@@ -575,10 +639,10 @@ def test_seeded_config_fuzz_keeps_the_exit_contract(tmp_path, capsys, monkeypatc
     # every config either runs or is refused with a documented exit code
     # and JSON-only stderr, never a traceback
     monkeypatch.delenv("BLS_LOG", raising=False)
-    rng = random.Random(2024)
+    rng, flag_rng = random.Random(2024), random.Random(2025)
     ran = 0
     for i in range(200):
-        argv = _fuzz_argv(rng, tmp_path / f"out{i}")
+        argv = _fuzz_argv(rng, tmp_path / f"out{i}", flag_rng)
         try:
             code = main(argv)
         except SystemExit as exc:

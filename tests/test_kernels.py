@@ -13,7 +13,6 @@ from blsampler import (
     hafnian_general,
     hafnian_low_rank,
     permanent,
-    repeat_rows_cols,
     run_selftest,
     takagi_factor,
 )
@@ -109,7 +108,8 @@ def test_low_rank_repeated_rows_match_repeat_helper():
     g = _random_complex(rng, (3, 2))
     counts = np.array([2, 0, 2])
     g_rep = np.repeat(g, counts, axis=0)
-    a_rep = repeat_rows_cols(g @ g.T, counts)
+    idx = np.repeat(np.arange(3), counts)
+    a_rep = (g @ g.T)[np.ix_(idx, idx)]
     assert hafnian_low_rank(g_rep) == pytest.approx(hafnian_general(a_rep))
 
 
@@ -151,31 +151,6 @@ def test_permanent_dimension_cap():
 def test_permanent_nonsquare_rejected():
     with pytest.raises(ValueError):
         permanent(np.ones((2, 3)))
-
-
-# ------------------------------------------------------------ repetitions
-
-
-def test_repeat_rows_cols_two_mode_sides():
-    a = np.arange(16, dtype=float).reshape(4, 4)
-    a = a + a.T  # symmetric, 2M = 4 -> M = 2
-    out = repeat_rows_cols(a, [2, 1])
-    assert out.shape == (6, 6)
-    # rows [0,0,1, 2,2,3] in the original indexing
-    idx = np.array([0, 0, 1, 2, 2, 3])
-    assert np.array_equal(out, a[np.ix_(idx, idx)])
-
-
-def test_repeat_rows_cols_single_side():
-    a = np.arange(9, dtype=float).reshape(3, 3)
-    out = repeat_rows_cols(a, [0, 2, 1])
-    idx = np.array([1, 1, 2])
-    assert np.array_equal(out, a[np.ix_(idx, idx)])
-
-
-def test_repeat_rows_cols_shape_mismatch():
-    with pytest.raises(ValueError):
-        repeat_rows_cols(np.eye(5), [1, 2])
 
 
 # ----------------------------------------------------------------- takagi

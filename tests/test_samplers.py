@@ -30,6 +30,8 @@ from blsampler import (
     tvd,
 )
 from blsampler.diagnostics import Distribution
+from blsampler.gaussian import a_matrix
+from blsampler.kernels import LOW_RANK_COLUMN_CAP, hafnian_general
 from blsampler.samplers import _block_total_law
 
 
@@ -201,6 +203,37 @@ def test_exact_sampler_is_stream_deterministic():
     assert np.array_equal(a, b)
 
 
+def _reference_prob(sigma, counts):
+    """``Haf(A_n) / (prod n_j! sqrt(det Q))`` from the dense ``A`` with rows
+    and columns ``j, M + j`` repeated ``n_j`` times."""
+    single = np.repeat(np.arange(sigma.n_modes), counts)
+    idx = np.concatenate([single, single + sigma.n_modes])
+    haf = hafnian_general(a_matrix(sigma).matrix[np.ix_(idx, idx)]).real
+    q = sigma.matrix + np.eye(2 * sigma.n_modes) / 2
+    fact = math.prod(math.factorial(int(c)) for c in counts)
+    return max(haf, 0.0) / (fact * math.sqrt(np.linalg.det(q).real))
+
+
+def test_wide_factor_route_matches_dense_hafnian_reference():
+    # the pinned N=3 sample-exact state: prefixes 5 and 6 have factor
+    # rank 6, past the low-rank cap, so they read G_n G_n^T entry by entry
+    lat = build_lattice(1, 3, 2)
+    circ = sample_random_circuit(lat, 2, np.random.default_rng([5]))
+    sigma = quad_to_complex(state_covariance(circ, lat, 0.1))
+    engine = ChainRuleEngine(sigma, TruncationPolicy(1e-6, 8, 2))
+    ranks = [f.shape[1] for f, _ in engine._prefixes[1:]]
+    assert ranks[4:] == [6, 6] and max(ranks[:4]) <= LOW_RANK_COLUMN_CAP
+    for k in range(1, lat.n_modes + 1):
+        reduced = reduce_complex(sigma, list(range(k)))
+        for prefix in itertools.product(range(2), repeat=k - 1):
+            joints = engine.conditional_joints(prefix, None)
+            assert joints.shape == (3,)
+            for n, joint in enumerate(joints):
+                ref = _reference_prob(reduced, prefix + (n,))
+                assert abs(joint - ref) <= 1e-14, (prefix, n)
+                assert abs(marginal_prob(reduced, prefix + (n,)) - ref) <= 1e-14
+
+
 def test_chain_rule_engine_keeps_no_hafnian_matrix_on_the_low_rank_path():
     # every prefix of this rank-4 state takes the moment sweep, so the
     # engine needs only the thin factors: a 2k x 2k complex matrix per
@@ -213,7 +246,7 @@ def test_chain_rule_engine_keeps_no_hafnian_matrix_on_the_low_rank_path():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert max(f.shape[1] for f in engine._factors[1:]) <= 4
+    assert max(f.shape[1] for f, _ in engine._prefixes[1:]) <= 4
     assert retained < 1_000_000
 
 
