@@ -27,7 +27,7 @@ lat = build_lattice(1, 2, 2)  # 4 modes, 2 squeezers
 circ = sample_random_circuit(lat, 4, np.random.default_rng([2]))
 sigma = quad_to_complex(state_covariance(circ, lat, 0.5))
 policy = truncation_threshold(2, 0.5, epsilon=1e-6)
-print(f"photon budget: {policy.n_total_max} total, {policy.n_mode_max} per mode")
+print(f"photon budget: {policy.n_total_max} photons in all")
 
 table = enumerate_gbs_distribution(sigma, policy)
 print(f"enumerated {table.counts.shape[0]} outcomes, mass = {table.mass:.9f}")

@@ -52,7 +52,7 @@ print()
 print("== exactness inside the light cone ==")
 lat = build_lattice(1, 2, 4)
 circ = sample_random_circuit(lat, 2, np.random.default_rng([3]))
-policy = TruncationPolicy(epsilon=1e-6, n_total_max=10, n_mode_max=10)
+policy = TruncationPolicy(epsilon=1e-6, n_total_max=10)
 exact = enumerate_gbs_distribution(
     quad_to_complex(state_covariance(circ, lat, 0.5)), policy
 )

@@ -238,14 +238,14 @@ def product_distribution(
     for dist in dists:
         if dist.kind != "pnr":
             raise ValueError("product tables are for photon-number outcomes")
-        n1, n2 = acc_counts.shape[0], dist.counts.shape[0]
-        if budget is None:
-            i = np.repeat(np.arange(n1), n2)
-            j = np.tile(np.arange(n2), n1)
-        else:
-            i, j = _pairs_within_budget(
-                acc_counts.sum(axis=1), dist.counts.sum(axis=1), budget
-            )
+        totals1, totals2 = acc_counts.sum(axis=1), dist.counts.sum(axis=1)
+        cap = budget
+        if cap is None:  # the largest combined total: every pair passes
+            cap = totals1.max(initial=0) + totals2.max(initial=0)
+        i, j = _pairs_within_budget(totals1, totals2, cap)
+        # freed before the product rows exist: kept alive across them, they
+        # fragment the heap (bounds-small peak RSS 131 -> 139 MB)
+        del totals1, totals2
         acc_counts = np.hstack(
             [acc_counts[i], dist.counts[j].astype(np.int16)]
         )
@@ -309,17 +309,16 @@ def _with_count(pblock: np.ndarray, c: int) -> np.ndarray:
     return out
 
 
-def _next_level(level, forms, tabs, ppp: int, budget: int, mode_cap: int):
+def _next_level(level, forms, tabs, ppp: int, budget: int):
     """Place one more mode: yield ``(total, coeffs, counts)`` for every
     photon total of the next prefix level, in ascending order.
 
     ``level`` yields the current level the same way; one of its blocks
     is read per next total.  Each prefix total t starts one multiply chain
     when its block arrives and advances it by one photon per next total;
-    a chain is dropped once it holds ``min(mode_cap, budget - t)``
-    photons.  Next total T stacks the chains of t = T, T-1, ... in
-    ascending t, so only the live chain heads and one stacked block are
-    held at a time.
+    a chain is dropped once it holds ``budget - t`` photons.  Next total
+    T stacks the chains of t = T, T-1, ... in ascending t, so only the
+    live chain heads and one stacked block are held at a time.
     """
     heads: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
     for total in itertools.count():
@@ -337,7 +336,7 @@ def _next_level(level, forms, tabs, ppp: int, budget: int, mode_cap: int):
                     degree += 1
             pieces_c.append(cur)
             pieces_p.append(_with_count(pblock, c))
-            if c == min(mode_cap, budget - t):
+            if c == budget - t:
                 del heads[t]
             else:
                 heads[t] = (cur, degree, pblock)
@@ -351,7 +350,6 @@ def _dp_enumerate(
     mode_forms: list[list[np.ndarray]],
     n_vars: int,
     budget: int,
-    mode_cap: int,
     value: str,
     norm: float,
 ) -> Distribution:
@@ -359,11 +357,13 @@ def _dp_enumerate(
 
     ``mode_forms[j]`` lists the forms contributed by each photon in mode
     j (one for the pure path, two — row and conjugate row — for the
-    general path).  Prefix levels are keyed by total photons placed and
-    streamed one total at a time (:func:`_next_level`): a total's block
-    stacks every prefix's coefficient vector, so a transition is one
-    batched gather per form, and no level is held whole.  The final mode
-    is folded through adjoint weight vectors instead of being expanded:
+    general path).  Every outcome with at most ``budget`` photons in all
+    is enumerated; no mode has a cap of its own.  Prefix levels are keyed
+    by total photons placed and streamed one total at a time
+    (:func:`_next_level`): a total's block stacks every prefix's
+    coefficient vector, so a transition is one batched gather per form,
+    and no level is held whole.  The final mode is folded through
+    adjoint weight vectors instead of being expanded:
     ``adj(t, c)`` pulls the degree-``t + c`` weights back over ``c``
     photons of the final mode, one chain per top total ``T = t + c``,
     computed once up front.  Each prefix block is folded against its
@@ -378,31 +378,28 @@ def _dp_enumerate(
     )
     rows = [1]  # rows[t]: prefixes of total t in the current level
     for forms in mode_forms[:-1]:
-        level = _next_level(level, forms, tabs, ppp, budget, mode_cap)
-        rows = [
-            sum(rows[max(0, top - mode_cap) : top + 1])
-            for top in range(min(budget, len(rows) - 1 + mode_cap) + 1)
-        ]
+        level = _next_level(level, forms, tabs, ppp, budget)
+        rows = [sum(rows[: top + 1]) for top in range(budget + 1)]
     last_forms = mode_forms[m - 1]
     adj: dict[tuple[int, int], np.ndarray] = {}
-    for top in range(min(budget, len(rows) - 1 + mode_cap) + 1):
+    for top in range(budget + 1):
         w = tabs.weights(ppp * top).astype(complex)
         degree = ppp * top
-        for c in range(0, min(mode_cap, top) + 1):
+        for c in range(top + 1):
             if c > 0:
                 for f in last_forms:
                     w = tabs.multiply_linear_adjoint(w, degree, f)
                     degree -= 1
             if top - c < len(rows):
                 adj[top - c, c] = w
-    n_out = sum(n * (min(mode_cap, budget - t) + 1) for t, n in enumerate(rows))
+    n_out = sum(n * (budget - t + 1) for t, n in enumerate(rows))
     counts = np.empty((n_out, m), dtype=np.int16)
     probs = np.empty(n_out)
     pos = 0
     for t, cblock, pblock in level:
         prefix_fact = _FACT[pblock].prod(axis=1)  # ones when no prefix mode
         n = cblock.shape[0]
-        for c in range(0, min(mode_cap, budget - t) + 1):
+        for c in range(budget - t + 1):
             vals = cblock @ adj.pop((t, c))
             if value == "abs2":
                 raw = np.abs(vals) ** 2
@@ -438,7 +435,6 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
     """
     m = sigma.n_modes
     budget = int(policy.n_total_max)
-    mode_cap = int(policy.n_mode_max)
     a = a_matrix(sigma).matrix
     norm = math.exp(-0.5 * _logdet_q(sigma.matrix))
     scale = np.abs(a).max()
@@ -454,27 +450,22 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
             [[factor[j]] if pure else [factor[j], factor[m + j]] for j in range(m)],
             factor.shape[1],
             budget,
-            mode_cap,
             "abs2" if pure else "real",
             norm,
         )
+    if m > GBS_BRUTE_MAX_MODES or budget > GBS_BRUTE_MAX_TOTAL:
+        # a pure A is the block and its conjugate: twice the block's rank
+        raise SizeCapError(
+            f"state rank {factor.shape[1] * (2 if pure else 1)} needs the "
+            f"reference hafnian, which is capped at {GBS_BRUTE_MAX_MODES} "
+            f"modes / {GBS_BRUTE_MAX_TOTAL} photons (got {m} modes, budget "
+            f"{budget})"
+        )
     if pure:
         factor = takagi_factor(a)  # the reference route reads rows j, M + j
-    if m > GBS_BRUTE_MAX_MODES or budget > GBS_BRUTE_MAX_TOTAL:
-        raise SizeCapError(
-            f"state rank {factor.shape[1]} needs the reference hafnian, "
-            f"which is capped at {GBS_BRUTE_MAX_MODES} modes / "
-            f"{GBS_BRUTE_MAX_TOTAL} photons (got {m} modes, budget {budget})"
-        )
-    rows = []
-    probs = []
-    for total in range(budget + 1):
-        for comp in _moments._compositions(total, m):
-            if comp.max(initial=0) > mode_cap:
-                continue
-            rows.append(comp)
-            probs.append(_outcome_prob(factor, norm, comp))
-    return Distribution(np.array(rows, dtype=np.int16), np.array(probs))
+    rows = np.concatenate([_moments._compositions(t, m) for t in range(budget + 1)])
+    probs = [_outcome_prob(factor, norm, comp) for comp in rows]
+    return Distribution(rows.astype(np.int16), np.array(probs))
 
 
 def enumerate_fock_distribution(unitary: np.ndarray, lattice: LatticeSpec) -> Distribution:
@@ -586,16 +577,14 @@ def random_walk_profile(
     depth: int,
     n_trials: int,
     rng: np.random.Generator,
-    source: int | None = None,
 ) -> WalkProfile:
     """Monte-Carlo mean of ``|U_{j,s}|^2`` against the averaging-map law,
-    on the lattice's mode grid; the walk starts at ``source``, by default
-    source 0 of the lattice (the centre of its first cube)."""
+    on the lattice's mode grid; the walk starts at source 0 of the
+    lattice (the centre of its first cube)."""
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2 (stderr needs two trials)")
     grid_shape, n_modes = lattice.grid_shape, lattice.n_modes
-    if source is None:
-        source = int(lattice.sources[0])
+    source = int(lattice.sources[0])
     amps = np.zeros((n_trials, n_modes), dtype=complex)
     amps[:, source] = 1.0
     empirical = np.zeros((depth + 1, n_modes))
@@ -719,11 +708,7 @@ def theorem_bound_report(
     }
     if policy is not None and lattice.n_modes <= enumerate_modes_cap:
         budget = min(int(policy.n_total_max), enumerate_budget_cap)
-        clamped = TruncationPolicy(
-            epsilon=policy.epsilon,
-            n_total_max=budget,
-            n_mode_max=min(int(policy.n_mode_max), budget),
-        )
+        clamped = TruncationPolicy(policy.epsilon, budget)
         exact = enumerate_gbs_distribution(quad_to_complex(v_out), clamped)
         block_dists = [
             enumerate_gbs_distribution(quad_to_complex(block), clamped)

@@ -168,7 +168,7 @@ def reduce_complex(cov: ComplexCovariance, modes) -> ComplexCovariance:
     return ComplexCovariance(cov.matrix[np.ix_(idx, idx)])
 
 
-def a_matrix(cov: ComplexCovariance, min_eig: float = 1e-12) -> AMatrix:
+def a_matrix(cov: ComplexCovariance) -> AMatrix:
     """Hafnian matrix ``A = Y (I - Q^{-1})`` with ``Q = Sigma + I/2``.
 
     ``Q`` is inverted through a Cholesky factorization after verifying it
@@ -180,9 +180,9 @@ def a_matrix(cov: ComplexCovariance, min_eig: float = 1e-12) -> AMatrix:
     q = cov.matrix + np.eye(2 * m) / 2.0
     q = (q + q.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(q)
-    if eigs.min() < min_eig:
+    if eigs.min() < 1e-12:
         raise ConditioningError(
-            f"Q = Sigma + I/2 has eigenvalue {eigs.min():.3e} below {min_eig:.1e}"
+            f"Q = Sigma + I/2 has eigenvalue {eigs.min():.3e} below 1.0e-12"
         )
     chol = np.linalg.cholesky(q)
     inv_chol = np.linalg.inv(chol)
@@ -221,14 +221,14 @@ def purity_defect(cov: QuadCovariance) -> float:
     return abs(math.expm1(logdet))
 
 
-def fidelity(pure: QuadCovariance, other: QuadCovariance, purity_tol: float = 1e-6) -> float:
+def fidelity(pure: QuadCovariance, other: QuadCovariance) -> float:
     """Fidelity ``1 / sqrt(det(V1 + V2))`` for pure ``V1``.
 
     Raises :class:`ConditioningError` if ``V1`` fails the purity check
-    ``|det(2 V1) - 1| <= purity_tol`` or the sum matrix is singular.
+    ``|det(2 V1) - 1| <= 1e-6`` or the sum matrix is singular.
     """
     defect = purity_defect(pure)
-    if not defect <= purity_tol:
+    if not defect <= 1e-6:
         raise ConditioningError(f"first state is not pure: |det(2V)-1| = {defect:.3e}")
     sign, logdet = np.linalg.slogdet(pure.matrix + other.matrix)
     if sign <= 0:

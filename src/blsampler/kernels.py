@@ -47,7 +47,7 @@ def _check_square(a: np.ndarray, name: str) -> int:
     return a.shape[0]
 
 
-def hafnian_general(a: np.ndarray, symmetry_rtol: float = 1e-8) -> complex:
+def hafnian_general(a: np.ndarray) -> complex:
     """Hafnian by memoized perfect-matching enumeration.
 
     Requires a complex symmetric matrix of even dimension at most
@@ -64,7 +64,7 @@ def hafnian_general(a: np.ndarray, symmetry_rtol: float = 1e-8) -> complex:
     if n == 0:
         return 1 + 0j
     scale = np.abs(a).max()
-    if np.abs(a - a.T).max() > symmetry_rtol * max(1.0, scale):
+    if np.abs(a - a.T).max() > 1e-8 * max(1.0, scale):
         raise ValueError("hafnian input is not symmetric")
 
     memo: dict[int, complex] = {}
@@ -138,14 +138,14 @@ def permanent(a: np.ndarray) -> complex:
     return total * (-1.0) ** n
 
 
-def takagi_factor(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def takagi_factor(a: np.ndarray) -> np.ndarray:
     """Rank-revealing symmetric factor ``G`` with ``G @ G.T == a``.
 
     Uses the real-embedding trick: eigenvectors ``(x; y)`` of the real
     symmetric ``[[Re a, Im a], [Im a, -Re a]]`` with eigenvalue ``s > 0``
     give con-eigenvectors ``w = x + i y`` with ``a conj(w) = s w``, so
     ``a = sum_s s w w^T`` over the positive spectrum.  Columns are ordered
-    by descending singular value; values below ``tol * max(1, s_max)``
+    by descending singular value; values below ``1e-10 * max(1, s_max)``
     are treated as rank deficiency and dropped.  The reconstruction is
     verified; failure raises :class:`ConditioningError`.
     """
@@ -162,7 +162,7 @@ def takagi_factor(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     big[n:, :n] = a.imag
     big[n:, n:] = -a.real
     evals, evecs = np.linalg.eigh(big)
-    cutoff = tol * max(1.0, evals.max(initial=0.0))
+    cutoff = 1e-10 * max(1.0, evals.max(initial=0.0))
     keep = np.flatnonzero(evals > cutoff)[::-1]  # descending
     cols = evecs[:n, keep] + 1j * evecs[n:, keep]
     factor = cols * np.sqrt(evals[keep])
@@ -188,14 +188,15 @@ def _permanent_reference(a: np.ndarray) -> complex:
     return total
 
 
-def run_selftest(seed: int = 20260819) -> dict:
-    """Cross-validate the kernels against each other and brute force.
+def run_selftest() -> dict:
+    """Cross-validate the kernels against each other and brute force, on
+    random inputs drawn from one fixed seed.
 
     Returns a report dict with one entry per check: name, pass flag, and
     the worst relative error observed.  Used by the command-line
     ``kernels-selftest`` mode and by the acceptance suite.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20260819)
     checks = []
 
     worst = 0.0

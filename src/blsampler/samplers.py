@@ -85,19 +85,25 @@ MAX_SAMPLE_RESTARTS = 5
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Photon budget: total cap, per-mode cap, and the target tail mass."""
+    """Photon budget: the cap on the total photon number, and the target
+    tail mass.  ``n_mode_max`` always equals ``n_total_max`` (a per-mode
+    cap that equals the total never binds); any other value is refused."""
 
     epsilon: float
     n_total_max: int
-    n_mode_max: int
+    n_mode_max: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not (self.n_total_max >= self.n_mode_max >= 0):
+        if self.n_total_max < 0:
+            raise ValueError(f"n_total_max must be >= 0, got {self.n_total_max}")
+        if self.n_mode_max is None:
+            object.__setattr__(self, "n_mode_max", self.n_total_max)
+        elif self.n_mode_max != self.n_total_max:
             raise ValueError(
-                f"need n_total_max >= n_mode_max >= 0, got "
-                f"{self.n_total_max}, {self.n_mode_max}"
+                f"n_mode_max must equal n_total_max ({self.n_total_max}), "
+                f"got {self.n_mode_max}"
             )
 
 
@@ -109,10 +115,9 @@ def truncation_threshold(
     The number of photon *pairs* emitted by the squeezers is capped at
     ``ceil(max(2 sech^2(r) ln(1/eps), 4 N sech^2(r)))``; the second term
     is a floor guard keeping the cap above the distribution's bulk even
-    when ``eps`` is large.  Both the total budget and the per-mode cap
-    are twice the pair budget.  Squeezing so large that ``sech^2 r``
-    underflows leaves no photon in the budget and raises
-    :class:`SizeCapError`.
+    when ``eps`` is large.  The photon budget is twice the pair budget.
+    Squeezing so large that ``sech^2 r`` underflows leaves no photon in
+    the budget and raises :class:`SizeCapError`.
     """
     if n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
@@ -129,8 +134,7 @@ def truncation_threshold(
             f"squeezing {squeezing} underflows sech^2 r to {sech2}: "
             "the photon budget would be 0"
         )
-    n_total = 2 * pairs
-    return TruncationPolicy(epsilon=epsilon, n_total_max=n_total, n_mode_max=n_total)
+    return TruncationPolicy(epsilon=epsilon, n_total_max=2 * pairs)
 
 
 def _sech2(squeezing: float) -> float:
@@ -221,7 +225,7 @@ class ChainRuleEngine:
         self._prefixes: list[tuple[np.ndarray, float]] = [(np.zeros((0, 0)), 1.0)]
         for k in range(1, self.n_modes + 1):
             self._prefixes.append(_hafnian_factor(reduce_complex(sigma, all_modes[:k])))
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._cache: dict[tuple[tuple[int, ...], float | None], np.ndarray] = {}
         rank = max(f.shape[1] for f, _ in self._prefixes)
         logger.debug("chain-rule engine: %d modes, max factor rank %d, budget %d",
                      self.n_modes, rank, policy.n_total_max)
@@ -231,21 +235,21 @@ class ChainRuleEngine:
     ) -> np.ndarray:
         """Joint probabilities ``P(prefix, n)`` for ``n = 0..window``.
 
-        The window is ``min(n_mode_max, n_total_max - sum(prefix))``;
-        when ``prefix_prob`` is given the sweep stops as soon as the
-        exactly-known residual mass falls below
-        ``SWEEP_RESIDUAL_RTOL * prefix_prob``.  Results are cached by
-        prefix (the stop point is a deterministic function of the
-        prefix, so cached sweeps are exact reruns).
+        The window is ``n_total_max - sum(prefix)``; when ``prefix_prob``
+        is given the sweep stops as soon as the exactly-known residual
+        mass falls below ``SWEEP_RESIDUAL_RTOL * prefix_prob``.  The stop
+        point depends on ``prefix_prob`` as well as on the prefix, so
+        results are cached by both and a cached sweep is an exact rerun.
         """
-        cached = self._cache.get(prefix)
+        key = (prefix, prefix_prob)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         k = len(prefix) + 1
         if k > self.n_modes:
             raise ValueError("prefix already covers every mode")
         placed = int(sum(prefix))
-        window = min(self.policy.n_mode_max, self.policy.n_total_max - placed)
+        window = self.policy.n_total_max - placed
         factor, norm = self._prefixes[k]
         if factor.shape[1] == 0:
             # Zero hafnian matrix: the reduced state is vacuum, so the
@@ -276,7 +280,7 @@ class ChainRuleEngine:
                 break
         joints = np.array(joints)
         joints.setflags(write=False)
-        self._cache[prefix] = joints
+        self._cache[key] = joints
         return joints
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -300,14 +304,9 @@ class ChainRuleEngine:
         out = np.zeros(self.n_modes, dtype=int)
         for k in range(self.n_modes):
             joints = self.conditional_joints(prefix, prefix_prob)
-            total = joints.sum()
-            if not (total > DEGENERATE_PROB):
+            if not (joints.sum() > DEGENERATE_PROB):
                 return None
-            cdf = np.cumsum(joints)
-            u = rng.random() * total
-            n = int(np.searchsorted(cdf, u, side="right"))
-            if n >= joints.shape[0]:
-                n = joints.shape[0] - 1
+            n = int(_inverse_cdf(np.cumsum(joints)[:, None], rng.random(1))[0])
             out[k] = n
             prefix = prefix + (n,)
             prefix_prob = float(joints[n])
@@ -351,10 +350,11 @@ class BlockApproxSampler:
 
     Block ``b`` keeps only its own source ``s``: its photon total comes from
     the closed-form law (module docstring) conditioned on ``n_total_max``,
-    and the photons land by ``|U[j, s]|^2 / q`` over its modes.  A block
-    outcome with a mode above ``n_mode_max`` is redrawn.  Only the source
-    columns of ``U`` are used; ``blocks`` (from ``block_approx_covariance``)
-    lends its columns, so both forms draw identical samples.
+    and the photons land by ``|U[j, s]|^2 / q`` over its modes.  The total
+    budget caps each block's total, so no mode can exceed it.  Only the
+    source columns of ``U`` are used; ``blocks`` (from
+    ``block_approx_covariance``) lends its columns, so both forms draw
+    identical samples.
     """
 
     def __init__(
@@ -367,7 +367,6 @@ class BlockApproxSampler:
     ):
         columns = source_columns(circuit) if blocks is None else blocks.columns
         self.lattice = lattice
-        self.policy = policy
         self._blocks = []
         for b, modes in enumerate(lattice.sublattices):
             route = np.cumsum(np.abs(columns[modes, b, None]) ** 2, axis=0)
@@ -378,12 +377,9 @@ class BlockApproxSampler:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         out = np.zeros(self.lattice.n_modes, dtype=int)
         for modes, law, route in self._blocks:
-            counts = None
-            while counts is None or counts.max() > self.policy.n_mode_max:
-                n = int(_inverse_cdf(law, rng.random(1))[0])
-                landed = _inverse_cdf(route, rng.random(n))
-                counts = np.bincount(landed, minlength=modes.size)
-            out[modes] = counts
+            n = int(_inverse_cdf(law, rng.random(1))[0])
+            landed = _inverse_cdf(route, rng.random(n))
+            out[modes] = np.bincount(landed, minlength=modes.size)
         return out
 
 

@@ -114,7 +114,7 @@ def test_c03_block_approximation_exact_inside_light_cone():
     start = time.perf_counter()
     lat = build_lattice(1, 2, 4)  # centered sources, M = 8
     circ = sample_random_circuit(lat, 2, np.random.default_rng([3]))
-    policy = TruncationPolicy(epsilon=1e-6, n_total_max=12, n_mode_max=12)
+    policy = TruncationPolicy(epsilon=1e-6, n_total_max=12)
     exact = enumerate_gbs_distribution(
         quad_to_complex(state_covariance(circ, lat, 0.5)), policy
     )
@@ -140,7 +140,7 @@ def test_c04_covariance_distance_chain_domination():
     start = time.perf_counter()
     lat = build_lattice(1, 2, 4)
     rng = np.random.default_rng(4242)
-    policy = TruncationPolicy(epsilon=1e-6, n_total_max=14, n_mode_max=14)
+    policy = TruncationPolicy(epsilon=1e-6, n_total_max=14)
     accepted = 0
     attempts = 0
     lemma_ok = True

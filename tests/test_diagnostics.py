@@ -321,7 +321,7 @@ def test_tvd_wide_tables_take_the_dict_path():
 
 def test_enumerate_pure_state_matches_reference_hafnian():
     _, _, sigma = _pure_sigma(1, 2, 2, 3, 0.5, 11)
-    policy = TruncationPolicy(epsilon=1e-6, n_total_max=5, n_mode_max=5)
+    policy = TruncationPolicy(epsilon=1e-6, n_total_max=5)
     dist = enumerate_gbs_distribution(sigma, policy)
     assert dist.counts.shape[0] > 50
     for comp, prob in zip(dist.counts, dist.probs):
@@ -331,7 +331,7 @@ def test_enumerate_pure_state_matches_reference_hafnian():
 def test_enumerate_mixed_state_matches_reference_hafnian():
     _, _, sigma = _pure_sigma(1, 2, 2, 3, 0.5, 12)
     red = reduce_complex(sigma, [0, 1, 2])  # tracing a mode makes it mixed
-    policy = TruncationPolicy(epsilon=1e-6, n_total_max=5, n_mode_max=5)
+    policy = TruncationPolicy(epsilon=1e-6, n_total_max=5)
     dist = enumerate_gbs_distribution(red, policy)
     assert np.abs(a_matrix(red).matrix[:3, 3:]).max() > 1e-6  # genuinely mixed
     for comp, prob in zip(dist.counts, dist.probs):
@@ -340,7 +340,7 @@ def test_enumerate_mixed_state_matches_reference_hafnian():
 
 def test_enumerate_vacuum_is_point_mass():
     _, _, sigma = _pure_sigma(1, 2, 2, 2, 0.0, 13)
-    policy = TruncationPolicy(epsilon=1e-6, n_total_max=4, n_mode_max=4)
+    policy = TruncationPolicy(epsilon=1e-6, n_total_max=4)
     dist = enumerate_gbs_distribution(sigma, policy)
     assert dist.counts.shape == (1, 4)
     assert dist.counts.sum() == 0
@@ -351,7 +351,7 @@ def test_enumerate_single_mode_closed_form():
     lat = build_lattice(1, 1, 1)
     circ = sample_random_circuit(lat, 0, np.random.default_rng(0))
     sigma = quad_to_complex(state_covariance(circ, lat, 0.8))
-    policy = TruncationPolicy(epsilon=1e-9, n_total_max=12, n_mode_max=12)
+    policy = TruncationPolicy(epsilon=1e-9, n_total_max=12)
     dist = enumerate_gbs_distribution(sigma, policy)
     table = dist.as_dict()
     for n in range(13):
@@ -375,42 +375,50 @@ def test_enumerate_high_rank_uses_reference_hafnian():
     lat = build_lattice(1, 5, 1)
     circ = sample_random_circuit(lat, 0, np.random.default_rng(15))
     sigma = quad_to_complex(state_covariance(circ, lat, 0.4))
-    policy = TruncationPolicy(epsilon=1e-6, n_total_max=4, n_mode_max=4)
+    policy = TruncationPolicy(epsilon=1e-6, n_total_max=4)
     dist = enumerate_gbs_distribution(sigma, policy)
     for comp, prob in zip(dist.counts, dist.probs):
         expected = math.prod(_single_mode_prob(int(n), 0.4) for n in comp)
         assert prob == pytest.approx(expected, abs=1e-12)
 
 
-def test_enumerate_high_rank_caps():
+def test_enumerate_high_rank_caps(monkeypatch):
+    # both refusals come after the M x M block's factor alone: the full
+    # 2M x 2M factorization is only for enumerations that go ahead
+    shapes = []
+    real_takagi = blsampler.diagnostics.takagi_factor
+
+    def counted(a):
+        shapes.append(a.shape)
+        return real_takagi(a)
+
+    monkeypatch.setattr(blsampler.diagnostics, "takagi_factor", counted)
     lat = build_lattice(1, 5, 1)
     circ = sample_random_circuit(lat, 0, np.random.default_rng(16))
     sigma = quad_to_complex(state_covariance(circ, lat, 0.4))
-    with pytest.raises(SizeCapError):
-        enumerate_gbs_distribution(
-            sigma, TruncationPolicy(epsilon=1e-6, n_total_max=10, n_mode_max=10)
-        )
+    with pytest.raises(SizeCapError, match="state rank 10 "):
+        enumerate_gbs_distribution(sigma, TruncationPolicy(1e-6, 10))
+    assert shapes == [(5, 5)]
     lat7 = build_lattice(1, 7, 1)
     circ7 = sample_random_circuit(lat7, 0, np.random.default_rng(17))
     sigma7 = quad_to_complex(state_covariance(circ7, lat7, 0.4))
-    with pytest.raises(SizeCapError):
-        enumerate_gbs_distribution(
-            sigma7, TruncationPolicy(epsilon=1e-6, n_total_max=4, n_mode_max=4)
-        )
+    with pytest.raises(SizeCapError, match="state rank 14 "):
+        enumerate_gbs_distribution(sigma7, TruncationPolicy(1e-6, 4))
+    assert shapes == [(5, 5), (7, 7)]
 
 
 def test_enumerate_guard_rejects_oversized_tables():
     _, _, sigma = _pure_sigma(1, 2, 8, 2, 0.5, 18)  # 16 modes
     with pytest.raises(SizeCapError):
         enumerate_gbs_distribution(
-            sigma, TruncationPolicy(epsilon=1e-6, n_total_max=44, n_mode_max=44)
+            sigma, TruncationPolicy(epsilon=1e-6, n_total_max=44)
         )
 
 
 # --------------------------------------------------- Fock enumeration
 
 
-def _unmemoized_dp(mode_forms, n_vars, budget, mode_cap, value, norm):
+def _unmemoized_dp(mode_forms, n_vars, budget, value, norm):
     """The enumeration DP as it was: the final-mode fold rebuilds
     ``adj^c(weights(t + c))`` from scratch for every ``(t, c)``."""
     from blsampler import _moments
@@ -425,7 +433,7 @@ def _unmemoized_dp(mode_forms, n_vars, budget, mode_cap, value, norm):
         for t, (cblock, pblock) in levels.items():
             cur = cblock
             degree = ppp * t
-            for c in range(0, min(mode_cap, budget - t) + 1):
+            for c in range(0, budget - t + 1):
                 if c > 0:
                     for f in mode_forms[j]:
                         cur = tabs.multiply_linear(cur, degree, f)
@@ -437,7 +445,7 @@ def _unmemoized_dp(mode_forms, n_vars, budget, mode_cap, value, norm):
     out_counts, out_probs = [], []
     for t, (cblock, pblock) in sorted(levels.items()):
         prefix_fact = _FACT[pblock].prod(axis=1)
-        for c in range(0, min(mode_cap, budget - t) + 1):
+        for c in range(0, budget - t + 1):
             top = ppp * (t + c)
             w = tabs.weights(top).astype(complex)
             degree = top
@@ -458,29 +466,24 @@ _BOUNDS_SMALL = (1, 2, 4, 4)
 
 
 @pytest.mark.parametrize(
-    "shape, state, forms_per_photon, mode_cap",
+    "shape, state, forms_per_photon",
     [
-        pytest.param(_BOUNDS_SMALL, "exact", 1, None, id="exact-1-None"),
-        pytest.param(_BOUNDS_SMALL, "exact", 1, 3, id="exact-1-3"),
-        pytest.param(_BOUNDS_SMALL, "block", 2, None, id="block-2-None"),
-        pytest.param(_BOUNDS_SMALL, "block", 2, 2, id="block-2-2"),
-        # seven prefix modes at cap 2 reach total 14, below the budget, so
-        # the last prefix level stops short of it
-        pytest.param(_BOUNDS_SMALL, "exact", 1, 2, id="exact-1-2"),
+        pytest.param(_BOUNDS_SMALL, "exact", 1, id="exact-1-None"),
+        pytest.param(_BOUNDS_SMALL, "block", 2, id="block-2-None"),
         # no prefix mode: the final-mode fold alone
-        pytest.param((1, 1, 1, 0), "exact", 1, None, id="one-mode"),
+        pytest.param((1, 1, 1, 0), "exact", 1, id="one-mode"),
         # one prefix mode: the first level is the last one
-        pytest.param((1, 2, 1, 2), "exact", 1, None, id="two-mode"),
+        pytest.param((1, 2, 1, 2), "exact", 1, id="two-mode"),
     ],
 )
 def test_enumeration_matches_unmemoized_fold(
-    monkeypatch, shape, state, forms_per_photon, mode_cap
+    monkeypatch, shape, state, forms_per_photon
 ):
     dim, sources, edge, depth = shape
     lat = build_lattice(dim, sources, edge)
     circ = sample_random_circuit(lat, depth, np.random.default_rng(31))
     budget = min(truncation_threshold(sources, 0.5, epsilon=1e-6).n_total_max, 16)
-    policy = TruncationPolicy(1e-6, budget, budget if mode_cap is None else mode_cap)
+    policy = TruncationPolicy(1e-6, budget)
     if state == "exact":
         cov = state_covariance(circ, lat, 0.5)
     else:
@@ -501,7 +504,7 @@ def test_enumeration_matches_unmemoized_fold(
     assert dist.counts.dtype == counts.dtype
     assert np.array_equal(dist.counts, counts)
     assert np.array_equal(dist.probs, probs)
-    assert dist.counts.max() == policy.n_mode_max
+    assert dist.counts.max() == budget
 
 
 def test_enumeration_streams_the_last_prefix_level():
@@ -513,7 +516,7 @@ def test_enumeration_streams_the_last_prefix_level():
     lat = build_lattice(dim, sources, edge)
     circ = sample_random_circuit(lat, depth, np.random.default_rng(31))
     sigma = quad_to_complex(state_covariance(circ, lat, 0.5))
-    policy = TruncationPolicy(1e-6, 16, 16)
+    policy = TruncationPolicy(1e-6, 16)
     warm = enumerate_gbs_distribution(sigma, policy)
     tracemalloc.start()
     try:
@@ -727,7 +730,7 @@ def test_theorem_bound_report_runs_full_chain(monkeypatch):
     assert len(calls) == 1
     # the report's tables, rebuilt: both distances are the public ones, bit for bit
     budget = min(policy.n_total_max, 16)
-    clamped = TruncationPolicy(policy.epsilon, budget, min(policy.n_mode_max, budget))
+    clamped = TruncationPolicy(policy.epsilon, budget)
     exact = enumerate_gbs_distribution(
         quad_to_complex(state_covariance(circ, lat, 0.5)), clamped
     )
@@ -805,9 +808,7 @@ def _three_replay_report(circuit, lattice, squeezing, policy):
         "tvd_bound": tvd_bound(x_measured, n, squeezing),
     }
     budget = min(int(policy.n_total_max), 16)
-    clamped = TruncationPolicy(
-        policy.epsilon, budget, min(int(policy.n_mode_max), budget)
-    )
+    clamped = TruncationPolicy(policy.epsilon, budget)
     exact = enumerate_gbs_distribution(quad_to_complex(v_out), clamped)
     approx = product_distribution(
         [

@@ -30,9 +30,10 @@ from blsampler import (
     tvd,
 )
 from blsampler.diagnostics import Distribution
+from blsampler.errors import SamplingError
 from blsampler.gaussian import a_matrix
 from blsampler.kernels import LOW_RANK_COLUMN_CAP, hafnian_general
-from blsampler.samplers import _block_total_law
+from blsampler.samplers import MAX_SAMPLE_RESTARTS, _block_total_law
 
 
 def _pure_sigma(dim, n_sources, edge, depth, r, seed):
@@ -68,6 +69,16 @@ def test_truncation_threshold_rejects_bad_epsilon():
 def test_policy_validates_ordering():
     with pytest.raises(ValueError):
         TruncationPolicy(epsilon=1e-6, n_total_max=4, n_mode_max=6)
+
+
+def test_policy_per_mode_cap_is_the_total_budget():
+    assert TruncationPolicy(1e-6, 8).n_mode_max == 8
+    assert TruncationPolicy(1e-6, 8, 8) == TruncationPolicy(1e-6, 8)
+    for cap in (0, 3, 7):  # a per-mode cap below the total is refused
+        with pytest.raises(ValueError, match="n_mode_max must equal"):
+            TruncationPolicy(1e-6, 8, cap)
+    with pytest.raises(ValueError):
+        TruncationPolicy(1e-6, -1)
 
 
 # --------------------------------------------------------------- marginals
@@ -148,16 +159,28 @@ def test_marginal_prob_equals_every_sweep_entry(n_sources, edge):
     # marginal_prob multiplies the same forms in the same order as the
     # engine's incremental sweep, so every entry agrees bit for bit
     lat, sigma = _pure_sigma(1, n_sources, edge, 3, 0.5, 41)
-    engine = ChainRuleEngine(sigma, TruncationPolicy(1e-6, 16, 8))
-    checked = 0
+    engine = ChainRuleEngine(sigma, TruncationPolicy(1e-6, 8))
     for k in range(1, lat.n_modes + 1):
         reduced = reduce_complex(sigma, list(range(k)))
         for prefix in itertools.product(range(3), repeat=k - 1):
             joints = engine.conditional_joints(prefix, None)
+            assert joints.shape == (9 - sum(prefix),)
             for n, joint in enumerate(joints):
                 assert marginal_prob(reduced, prefix + (n,)) == joint, (prefix, n)
-            checked += joints.shape[0]
-    assert checked == 9 * sum(3**j for j in range(lat.n_modes))
+
+
+def test_engine_sweep_does_not_depend_on_earlier_calls():
+    # the full window and the early-stopped sweep of one prefix are two
+    # different sweeps: neither may be served from the cache for the other
+    lat, sigma = _pure_sigma(1, 2, 2, 3, 0.8, 9)
+    policy = truncation_threshold(2, 0.8, 1e-6)
+    fresh = ChainRuleEngine(sigma, policy).conditional_joints((), 1.0)
+    engine = ChainRuleEngine(sigma, policy)
+    full = engine.conditional_joints((), None)
+    assert full.shape == (policy.n_total_max + 1,)
+    assert fresh.shape[0] < full.shape[0]
+    assert np.array_equal(engine.conditional_joints((), 1.0), fresh)
+    assert np.array_equal(engine.conditional_joints((), None), full)
 
 
 def test_exact_sampler_vacuum_is_all_zeros():
@@ -195,6 +218,44 @@ def test_exact_sampler_matches_two_mode_statistics():
         assert count / n == pytest.approx(p, abs=4.0 * math.sqrt(p / n))
 
 
+def _underflowing(monkeypatch, engine, n_bad):
+    """Make the engine's first ``n_bad`` sweeps underflow; returns the
+    list of prefixes swept."""
+    real, swept = engine.conditional_joints, []
+
+    def sweep(prefix, prefix_prob):
+        swept.append(prefix)
+        if len(swept) <= n_bad:
+            return np.array([1e-310, 0.0])
+        return real(prefix, prefix_prob)
+
+    monkeypatch.setattr(engine, "conditional_joints", sweep)
+    return swept
+
+
+def test_exact_sampler_restarts_after_an_underflow(monkeypatch, caplog):
+    lat, sigma = _pure_sigma(1, 2, 2, 4, 0.5, 9)
+    policy = truncation_threshold(2, 0.5, 1e-6)
+    engine = ChainRuleEngine(sigma, policy)
+    swept = _underflowing(monkeypatch, engine, 1)
+    counts = engine.sample(np.random.default_rng([4, 7]))
+    # the failed attempt drew no uniform, so the retry reads the stream
+    # a clean draw reads
+    expected = ChainRuleEngine(sigma, policy).sample(np.random.default_rng([4, 7]))
+    assert np.array_equal(counts, expected)
+    assert swept[:2] == [(), ()] and len(swept) == 1 + lat.n_modes
+    assert "restarting sample (attempt 1)" in caplog.text
+
+
+def test_exact_sampler_gives_up_after_max_restarts(monkeypatch):
+    lat, sigma = _pure_sigma(1, 2, 2, 4, 0.5, 9)
+    engine = ChainRuleEngine(sigma, truncation_threshold(2, 0.5, 1e-6))
+    swept = _underflowing(monkeypatch, engine, MAX_SAMPLE_RESTARTS + 1)
+    with pytest.raises(SamplingError, match=f"in {MAX_SAMPLE_RESTARTS} attempts"):
+        engine.sample(np.random.default_rng(3))
+    assert swept == [()] * MAX_SAMPLE_RESTARTS
+
+
 def test_exact_sampler_is_stream_deterministic():
     lat, sigma = _pure_sigma(1, 2, 2, 4, 0.5, 9)
     policy = truncation_threshold(2, 0.5, 1e-6)
@@ -220,14 +281,14 @@ def test_wide_factor_route_matches_dense_hafnian_reference():
     lat = build_lattice(1, 3, 2)
     circ = sample_random_circuit(lat, 2, np.random.default_rng([5]))
     sigma = quad_to_complex(state_covariance(circ, lat, 0.1))
-    engine = ChainRuleEngine(sigma, TruncationPolicy(1e-6, 8, 2))
+    engine = ChainRuleEngine(sigma, TruncationPolicy(1e-6, 8))
     ranks = [f.shape[1] for f, _ in engine._prefixes[1:]]
     assert ranks[4:] == [6, 6] and max(ranks[:4]) <= LOW_RANK_COLUMN_CAP
     for k in range(1, lat.n_modes + 1):
         reduced = reduce_complex(sigma, list(range(k)))
         for prefix in itertools.product(range(2), repeat=k - 1):
             joints = engine.conditional_joints(prefix, None)
-            assert joints.shape == (3,)
+            assert joints.shape == (9 - sum(prefix),)
             for n, joint in enumerate(joints):
                 ref = _reference_prob(reduced, prefix + (n,))
                 assert abs(joint - ref) <= 1e-14, (prefix, n)
@@ -295,7 +356,7 @@ def _block_tables(seed, r, policy):
 
 @pytest.mark.parametrize("seed, r", _LEAKY_BLOCKS)
 def test_block_total_law_matches_enumerated_block_marginal(seed, r):
-    policy = TruncationPolicy(1e-6, 10, 10)
+    policy = TruncationPolicy(1e-6, 10)
     lat, circ, tables = _block_tables(seed, r, policy)
     u = accumulate_unitary(circ)
     for table, modes, src in zip(tables, lat.sublattices, lat.sources):
@@ -311,10 +372,8 @@ def test_block_total_law_matches_enumerated_block_marginal(seed, r):
 @pytest.mark.parametrize(
     "seed, r, policy",
     [
-        (5, 0.7, TruncationPolicy(1e-6, 10, 10)),
-        (11, 1.0, TruncationPolicy(1e-6, 10, 10)),
-        # per-mode cap below the total: the sampler must condition on both
-        (11, 1.0, TruncationPolicy(1e-6, 8, 3)),
+        (5, 0.7, TruncationPolicy(1e-6, 10)),
+        (11, 1.0, TruncationPolicy(1e-6, 10)),
     ],
 )
 def test_block_sampler_matches_product_of_block_tables(seed, r, policy):
