@@ -5,6 +5,16 @@ validation problems exit 2, scale-cap violations exit 3, numerical
 conditioning and sampling failures exit 4.
 """
 
+__all__ = [
+    "SimulationError",
+    "ConfigurationError",
+    "MalformedCircuitError",
+    "SizeCapError",
+    "UnsupportedRankError",
+    "ConditioningError",
+    "SamplingError",
+]
+
 
 class SimulationError(Exception):
     """Base class for all package-specific errors."""

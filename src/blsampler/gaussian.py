@@ -4,7 +4,8 @@ Quadrature covariances use the interleaved ordering
 ``(x_0, p_0, x_1, p_1, ...)`` with vacuum ``V = I/2`` (hbar = 1 units).
 Complex covariances use the ordering ``(a_0..a_{M-1}, a_0^+..a_{M-1}^+)``
 and are related to quadrature ones by the unitary basis change
-:func:`quad_to_complex`; vacuum again has ``Sigma = I/2``.
+:func:`quad_to_complex`, ``a_j = (x_j + i p_j)/sqrt 2``, applied as strided
+slices; vacuum again has ``Sigma = I/2``.
 
 The sampling-facing objects are the ``A`` matrices: ``A = Y (I - Q^{-1})``
 with ``Q = Sigma + I/2`` and ``Y`` the block swap, whose hafnians give
@@ -129,29 +130,19 @@ def state_covariance(
     return QuadCovariance(_squeezed_covariance(source_columns(circuit), squeezing))
 
 
-_T_CACHE: dict[int, np.ndarray] = {}
-
-
-def _t_matrix(n_modes: int) -> np.ndarray:
-    """Unitary mapping interleaved quadratures to (a, a^+) operators."""
-    t = _T_CACHE.get(n_modes)
-    if t is None:
-        t = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for j in range(n_modes):
-            t[j, 2 * j] = inv_sqrt2
-            t[j, 2 * j + 1] = 1j * inv_sqrt2
-            t[j + n_modes, 2 * j] = inv_sqrt2
-            t[j + n_modes, 2 * j + 1] = -1j * inv_sqrt2
-        t.setflags(write=False)
-        _T_CACHE[n_modes] = t
-    return t
-
-
 def quad_to_complex(cov: QuadCovariance) -> ComplexCovariance:
-    """Change of basis ``Sigma = T V T^+``; vacuum maps to ``I/2``."""
-    t = _t_matrix(cov.n_modes)
-    return ComplexCovariance(t @ cov.matrix @ t.conj().T)
+    """Change of basis ``Sigma = T V T^+``; vacuum maps to ``I/2``.
+
+    ``T`` maps interleaved quadratures to ``a_j = (x_j + i p_j)/sqrt 2``
+    and ``a_j^+ = (x_j - i p_j)/sqrt 2``: two nonzeros per row, so it is
+    applied from each side as strided slices, with no 2M x 2M ``T``.
+    """
+    s = 1.0 / math.sqrt(2.0)
+    v = cov.matrix
+    tv = s * (v[0::2] + 1j * v[1::2])  # rows a_j of T V
+    tv = np.concatenate([tv, tv.conj()])
+    x, p = s * tv[:, 0::2], 1j * (s * tv[:, 1::2])
+    return ComplexCovariance(np.concatenate([x - p, x + p], axis=1))
 
 
 def reduce_quad(cov: QuadCovariance, modes) -> QuadCovariance:

@@ -22,9 +22,11 @@ Three samplers live here:
   without computing any permanent.
 
 Every Gaussian probability takes one route: :func:`_hafnian_factor` gives
-a state's thin factor ``G`` (``G G^T = A``) and normalization, and
-:func:`_outcome_prob` reads an outcome off the rows ``j, M + j`` of ``G``
-(the engine's moment sweep extends them one photon at a time).
+a state's thin factor ``G`` (``G G^T = A``) and normalization, and one
+generator, :func:`_sweep`, reads ``P(prefix, n)`` for ``n = 0, 1, ...``
+off the rows ``j, M + j`` of ``G``.  The engine takes whole sweeps;
+:func:`_outcome_prob` (behind :func:`marginal_prob` and the enumeration
+oracle) takes one entry of one.
 
 Distributions are truncated by a :class:`TruncationPolicy` and
 renormalized over the allowed window.  Inside a window the chain-rule
@@ -54,7 +56,6 @@ from .kernels import (
     HAFNIAN_DIM_CAP,
     LOW_RANK_COLUMN_CAP,
     hafnian_general,
-    hafnian_low_rank,
     takagi_factor,
 )
 from .lattice import Circuit, LatticeSpec, _source_cols, source_columns
@@ -165,24 +166,61 @@ def _hafnian_factor(sigma: ComplexCovariance) -> tuple[np.ndarray, float]:
     return factor, math.exp(-0.5 * _logdet_q(sigma.matrix))
 
 
-def _outcome_prob(factor: np.ndarray, norm: float, counts) -> float:
-    """``Haf(A_n) norm / prod n_j!`` from the factor rows ``j, M + j``, each
-    pair repeated ``n_j`` times in mode order.
+def _sweep(prefix: tuple[int, ...], factor: np.ndarray, norm: float):
+    """``P(prefix, n)`` for ``n = 0, 1, ...`` on the state whose last mode is
+    swept, read off the factor rows ``j, k + j`` of its ``k`` modes.
 
-    A rank-0 factor is the vacuum.  Up to ``LOW_RANK_COLUMN_CAP`` columns
-    the low-rank hafnian reads the rows; wider factors go to the reference
-    hafnian of ``G_n G_n^T`` (dimension-capped).
+    A rank-0 factor is the vacuum: one entry, the point mass on no photons.
+    Up to ``LOW_RANK_COLUMN_CAP`` columns the prefix's linear forms are
+    multiplied in once and each ``n`` adds the swept mode's pair (the
+    Gaussian moment of the product is the hafnian).  Wider factors take the
+    reference hafnian of ``G_n G_n^T`` and yield ``None`` from where its
+    dimension would pass ``HAFNIAN_DIM_CAP``.
     """
-    m = factor.shape[0] // 2
-    if factor.shape[1] == 0:
-        return norm if sum(counts) == 0 else 0.0
-    single = np.repeat(np.arange(m), counts)
-    rows = factor[np.stack([single, single + m], axis=1).ravel()]
-    if factor.shape[1] <= LOW_RANK_COLUMN_CAP:
-        haf = hafnian_low_rank(rows).real
-    else:
-        haf = hafnian_general(rows @ rows.T).real
-    return max(haf, 0.0) * norm / _factorials(counts)
+    k = len(prefix) + 1
+    rank = factor.shape[1]
+    if rank == 0:
+        yield norm if sum(prefix) == 0 else 0.0
+        return
+    pfact, fact = _factorials(prefix), 1.0
+    if rank > LOW_RANK_COLUMN_CAP:
+        for n in range(HAFNIAN_DIM_CAP // 2 - int(sum(prefix)) + 1):
+            fact *= max(n, 1)
+            single = np.repeat(np.arange(k), prefix + (n,))
+            rows = factor[np.stack([single, single + k], axis=1).ravel()]
+            haf = hafnian_general(rows @ rows.T).real
+            yield max(haf, 0.0) * norm / (pfact * fact)
+        yield from itertools.repeat(None)
+    tabs = _moments.tables(rank)
+    coeffs = np.ones(1, dtype=complex)
+    degree = 0
+    for j, nj in enumerate(prefix):
+        for _ in range(int(nj)):
+            coeffs = tabs.multiply_linear(coeffs, degree, factor[j])
+            coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[k + j])
+            degree += 2
+    for n in itertools.count():
+        if n > 0:
+            coeffs = tabs.multiply_linear(coeffs, degree, factor[k - 1])
+            coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[2 * k - 1])
+            degree += 2
+            fact *= n
+        haf = tabs.moment(coeffs, degree).real
+        yield max(haf, 0.0) * norm / (pfact * fact)
+
+
+def _outcome_prob(factor: np.ndarray, norm: float, counts) -> float:
+    """Probability of ``counts``: entry ``counts[-1]`` of the sweep over the
+    last mode after the prefix ``counts[:-1]``."""
+    counts = tuple(int(c) for c in counts)
+    sweep = _sweep(counts[:-1], factor, norm)
+    p = next(itertools.islice(sweep, counts[-1], None), 0.0)
+    if p is None:
+        raise SizeCapError(
+            f"outcome of {sum(counts)} photons needs a hafnian of dimension "
+            f"{2 * sum(counts)} > {HAFNIAN_DIM_CAP} on a rank-{factor.shape[1]} state"
+        )
+    return p
 
 
 def marginal_prob(sigma: ComplexCovariance, counts) -> float:
@@ -212,9 +250,9 @@ class ChainRuleEngine:
     cached per prefix, so repeated samples from the same state reuse every
     conditional they have in common.
 
-    Factors wider than ``LOW_RANK_COLUMN_CAP`` columns (more than two
-    effective squeezed modes) take the dimension-capped reference route;
-    past its cap the sweep raises rather than silently truncating.
+    Every prefix is swept by :func:`_sweep`, whatever its rank; past the
+    reference hafnian's dimension cap a sweep raises rather than silently
+    truncating.
     """
 
     def __init__(self, sigma: ComplexCovariance, policy: TruncationPolicy):
@@ -250,22 +288,12 @@ class ChainRuleEngine:
             raise ValueError("prefix already covers every mode")
         placed = int(sum(prefix))
         window = self.policy.n_total_max - placed
-        factor, norm = self._prefixes[k]
-        if factor.shape[1] == 0:
-            # Zero hafnian matrix: the reduced state is vacuum, so the
-            # conditional is a point mass on zero photons.
-            probs, window = iter([norm if placed == 0 else 0.0]), 0
-        elif factor.shape[1] <= LOW_RANK_COLUMN_CAP:
-            probs = _moment_probs(prefix, factor, norm)
-        else:
-            probs = _reference_probs(prefix, factor, norm)
         joints, cum = [], 0.0
 
         def settled(rtol: float) -> bool:
             return prefix_prob is not None and prefix_prob - cum <= rtol * prefix_prob
 
-        for n in range(window + 1):
-            p = next(probs)
+        for n, p in zip(range(window + 1), _sweep(prefix, *self._prefixes[k])):
             if p is None:  # past the reference hafnian's dimension cap
                 if settled(1e-9):
                     break
@@ -311,38 +339,6 @@ class ChainRuleEngine:
             prefix = prefix + (n,)
             prefix_prob = float(joints[n])
         return out
-
-
-def _moment_probs(prefix: tuple[int, ...], factor: np.ndarray, norm: float):
-    """``P(prefix, n)`` for ``n = 0, 1, ...``: the prefix's linear forms are
-    multiplied in once, then each ``n`` adds the pair of the swept mode."""
-    k = len(prefix) + 1
-    tabs = _moments.tables(factor.shape[1])
-    coeffs = np.ones(1, dtype=complex)
-    degree = 0
-    pfact = _factorials(prefix)
-    for j, nj in enumerate(prefix):
-        for _ in range(int(nj)):
-            coeffs = tabs.multiply_linear(coeffs, degree, factor[j])
-            coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[k + j])
-            degree += 2
-    fact = 1.0
-    for n in itertools.count():
-        if n > 0:
-            coeffs = tabs.multiply_linear(coeffs, degree, factor[k - 1])
-            coeffs = tabs.multiply_linear(coeffs, degree + 1, factor[2 * k - 1])
-            degree += 2
-            fact *= n
-        haf = tabs.moment(coeffs, degree).real
-        yield max(haf, 0.0) * norm / (pfact * fact)
-
-
-def _reference_probs(prefix: tuple[int, ...], factor: np.ndarray, norm: float):
-    """``P(prefix, n)`` for ``n = 0, 1, ...`` by :func:`_outcome_prob`, then
-    ``None`` once the hafnian dimension would pass ``HAFNIAN_DIM_CAP``."""
-    for n in range(HAFNIAN_DIM_CAP // 2 - int(sum(prefix)) + 1):
-        yield _outcome_prob(factor, norm, prefix + (n,))
-    yield None
 
 
 class BlockApproxSampler:

@@ -46,14 +46,20 @@ def _symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     return nus[::2]
 
 
-def _complex_to_quad(sigma: np.ndarray) -> np.ndarray:
-    """Back to interleaved quadratures from ``a_j = (x_j + i p_j) / sqrt 2``."""
-    m = sigma.shape[0] // 2
+def _t_matrix(m: int) -> np.ndarray:
+    """Dense unitary from interleaved quadratures to ``a_j = (x_j + i p_j) /
+    sqrt 2`` and ``a_j^+ = (x_j - i p_j) / sqrt 2``."""
     j = np.arange(m)
     t = np.zeros((2 * m, 2 * m), dtype=complex)
     t[j, 2 * j] = t[j + m, 2 * j] = 1.0 / math.sqrt(2.0)
     t[j, 2 * j + 1] = 1j / math.sqrt(2.0)
     t[j + m, 2 * j + 1] = -1j / math.sqrt(2.0)
+    return t
+
+
+def _complex_to_quad(sigma: np.ndarray) -> np.ndarray:
+    """Back to interleaved quadratures."""
+    t = _t_matrix(sigma.shape[0] // 2)
     return (t.conj().T @ sigma @ t).real
 
 
@@ -85,6 +91,31 @@ def test_quad_complex_round_trip():
     cov = state_covariance(circ, lat, 0.5)
     back = _complex_to_quad(quad_to_complex(cov).matrix)
     assert np.allclose(back, cov.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim, n_sources, edge, depth",
+    [(1, 2, 2, 2), (1, 2, 4, 4), (2, 2, 2, 3), (1, 3, 2, 2), (1, 3, 3, 5), (2, 1, 3, 2)],
+)
+def test_sliced_basis_change_equals_dense_t(dim, n_sources, edge, depth):
+    # the slices round each entry as two products and one sum, as the dense
+    # product does for even M.  For odd M the BLAS product (OpenBLAS's
+    # Haswell zgemm) fuses the multiply-add in its last column pair, so the
+    # two agree to one rounding there.
+    lat = build_lattice(dim, n_sources, edge)
+    for seed in range(10):
+        circ = sample_random_circuit(lat, depth, np.random.default_rng(seed))
+        for r in (0.3, 1.0):
+            blocks = block_approx_covariance(circ, lat, r).blocks
+            for cov in (state_covariance(circ, lat, r), *blocks):
+                t = _t_matrix(cov.n_modes)
+                dense = t @ cov.matrix @ t.conj().T
+                sliced = quad_to_complex(cov).matrix
+                if cov.n_modes % 2 == 0:
+                    assert np.array_equal(sliced, dense)
+                else:
+                    gap = np.abs(sliced - dense).max()
+                    assert gap <= 2 * np.finfo(float).eps * np.abs(dense).max()
 
 
 def test_reduction_commutes_with_conversion():

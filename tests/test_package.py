@@ -15,8 +15,9 @@ _ERROR_CLASSES = {
 
 
 def test_package_exports_exactly_the_module_exports():
-    modules = (lattice, gaussian, kernels, samplers, diagnostics)
-    want = set().union(*(m.__all__ for m in modules)) | _ERROR_CLASSES
+    assert set(errors.__all__) == _ERROR_CLASSES
+    modules = (errors, lattice, gaussian, kernels, samplers, diagnostics)
+    want = set().union(*(m.__all__ for m in modules))
     assert set(blsampler.__all__) - {"__version__"} == want
     assert len(blsampler.__all__) == len(set(blsampler.__all__))
     for name in _ERROR_CLASSES:

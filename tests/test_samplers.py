@@ -30,7 +30,7 @@ from blsampler import (
     tvd,
 )
 from blsampler.diagnostics import Distribution
-from blsampler.errors import SamplingError
+from blsampler.errors import SamplingError, SizeCapError
 from blsampler.gaussian import a_matrix
 from blsampler.kernels import LOW_RANK_COLUMN_CAP, hafnian_general
 from blsampler.samplers import MAX_SAMPLE_RESTARTS, _block_total_law
@@ -293,6 +293,15 @@ def test_wide_factor_route_matches_dense_hafnian_reference():
                 ref = _reference_prob(reduced, prefix + (n,))
                 assert abs(joint - ref) <= 1e-14, (prefix, n)
                 assert abs(marginal_prob(reduced, prefix + (n,)) - ref) <= 1e-14
+
+
+def test_marginal_prob_refuses_outcomes_past_the_reference_cap():
+    # the same rank-6 state: 13 photons need a 26-dimensional hafnian
+    lat = build_lattice(1, 3, 2)
+    circ = sample_random_circuit(lat, 2, np.random.default_rng([5]))
+    sigma = quad_to_complex(state_covariance(circ, lat, 0.1))
+    with pytest.raises(SizeCapError, match="26 > 24"):
+        marginal_prob(sigma, [3, 3, 3, 2, 2, 0])
 
 
 def test_chain_rule_engine_keeps_no_hafnian_matrix_on_the_low_rank_path():
