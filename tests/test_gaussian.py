@@ -98,10 +98,12 @@ def test_quad_complex_round_trip():
     [(1, 2, 2, 2), (1, 2, 4, 4), (2, 2, 2, 3), (1, 3, 2, 2), (1, 3, 3, 5), (2, 1, 3, 2)],
 )
 def test_sliced_basis_change_equals_dense_t(dim, n_sources, edge, depth):
-    # the slices round each entry as two products and one sum, as the dense
-    # product does for even M.  For odd M the BLAS product (OpenBLAS's
-    # Haswell zgemm) fuses the multiply-add in its last column pair, so the
-    # two agree to one rounding there.
+    # The dense T V T^+ is summed elementwise, not by a BLAS product: each
+    # entry is then one product per nonzero of T and one sum of two terms,
+    # as in the slices, so the two agree bit for bit on every CPU.
+    def product(a, b):
+        return (a[:, :, None] * b[None, :, :]).sum(axis=1)
+
     lat = build_lattice(dim, n_sources, edge)
     for seed in range(10):
         circ = sample_random_circuit(lat, depth, np.random.default_rng(seed))
@@ -109,13 +111,8 @@ def test_sliced_basis_change_equals_dense_t(dim, n_sources, edge, depth):
             blocks = block_approx_covariance(circ, lat, r).blocks
             for cov in (state_covariance(circ, lat, r), *blocks):
                 t = _t_matrix(cov.n_modes)
-                dense = t @ cov.matrix @ t.conj().T
-                sliced = quad_to_complex(cov).matrix
-                if cov.n_modes % 2 == 0:
-                    assert np.array_equal(sliced, dense)
-                else:
-                    gap = np.abs(sliced - dense).max()
-                    assert gap <= 2 * np.finfo(float).eps * np.abs(dense).max()
+                dense = product(product(t, cov.matrix), t.conj().T)
+                assert np.array_equal(quad_to_complex(cov).matrix, dense)
 
 
 def test_reduction_commutes_with_conversion():
