@@ -55,6 +55,7 @@ from .samplers import (
     BlockApproxSampler,
     ChainRuleEngine,
     DistinguishableFockSampler,
+    TruncationPolicy,
     threshold_coarse_grain,
     truncation_threshold,
 )
@@ -285,7 +286,7 @@ def _run_sampling(config: dict) -> str:
     )
     mode, r = config["mode"], config["squeezing"]
     if mode != "sample-fock":
-        policy = truncation_threshold(config["n_sources"], r, config["epsilon"])
+        policy = TruncationPolicy(config["epsilon"], config["n_total_max"])
     if mode == "sample-exact":
         sigma = quad_to_complex(state_covariance(circuit, lattice, r))
         draw = ChainRuleEngine(sigma, policy).sample
@@ -366,9 +367,7 @@ def _run_walk(config: dict) -> str:
 def _run_bounds(config: dict) -> str:
     lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     rng = np.random.default_rng([config["seed"]])
-    policy = truncation_threshold(
-        config["n_sources"], config["squeezing"], config["epsilon"]
-    )
+    policy = TruncationPolicy(config["epsilon"], config["n_total_max"])
     reports = []
     for index in range(config["n_samples"]):
         circuit = sample_random_circuit(lattice, config["depth"], rng)
