@@ -15,7 +15,7 @@ normalized config, each following line one sample
 ``{"sample_id", "counts"|"clicks", "sampler", "seed", "stream"}``.
 Rerunning a sampling mode with the same config and seed reproduces the
 file byte for byte: sample i draws from its own ``default_rng([seed, i])``
-substream, so the output is independent of worker count and ordering.
+substream.
 
 Exit codes: 0 success, 2 invalid config, 3 oracle/kernel scale exceeded,
 4 numerical conditioning or sampling failure.  stderr receives JSON
@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,12 +41,7 @@ from .diagnostics import (
     write_csv,
     write_json,
 )
-from .errors import (
-    ConditioningError,
-    ConfigurationError,
-    SamplingError,
-    SizeCapError,
-)
+from .errors import ConditioningError, SamplingError, SizeCapError
 from .gaussian import quad_to_complex, state_covariance
 from .kernels import run_selftest
 from .lattice import MAX_MODE_CELLS, build_lattice, sample_random_circuit, source_columns
@@ -56,7 +50,6 @@ from .samplers import (
     ChainRuleEngine,
     DistinguishableFockSampler,
     TruncationPolicy,
-    threshold_coarse_grain,
     truncation_threshold,
 )
 
@@ -136,9 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="samples / circuits / trials / instances depending on mode",
     )
     parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument(
-        "--threads", type=int, help="worker threads for sampling (default 1)"
-    )
+    parser.add_argument("--threads", type=int, help="accepted only as 1")
     parser.add_argument("--out", help="artifact path")
     return parser
 
@@ -205,9 +196,8 @@ def validate(args) -> tuple[dict, list[str]]:
     elif seed < 0:
         problems.append("--seed must be >= 0")
 
-    threads = args.threads if args.threads is not None else 1
-    if threads < 1:
-        problems.append("--threads must be >= 1")
+    if args.threads not in (None, 1):
+        problems.append("--threads must be 1")
 
     if args.out is None:
         problems.append("--out is required")
@@ -223,7 +213,6 @@ def validate(args) -> tuple[dict, list[str]]:
         epsilon=epsilon,
         n_samples=n_samples,
         seed=seed,
-        threads=threads,
         out=args.out,
     )
     if problems:
@@ -246,9 +235,6 @@ def validate(args) -> tuple[dict, list[str]]:
             raise SizeCapError(f"{label} exceeds the cap of {MAX_MODE_CELLS}")
     try:
         lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
-    except ConfigurationError as exc:
-        problems.extend(exc.problems)
-        return config, problems
     except ValueError as exc:
         problems.append(str(exc))
         return config, problems
@@ -270,11 +256,9 @@ def _json_line(obj) -> str:
 
 
 def _embedded(config: dict, **extra) -> dict:
-    # The artifact describes the experiment, not the run's plumbing: the
-    # output path and worker count cannot influence content (samples are
-    # seeded per stream and written in order), so the same experiment
-    # produces the same bytes wherever and however it executes.
-    out = {k: v for k, v in config.items() if k not in ("out", "threads")}
+    # The artifact describes the experiment, not where it is written, so
+    # the same experiment produces the same bytes wherever it runs.
+    out = {k: v for k, v in config.items() if k != "out"}
     out.update(extra)
     return out
 
@@ -298,28 +282,17 @@ def _run_sampling(config: dict) -> str:
         draw = DistinguishableFockSampler(source_columns(circuit), lattice).sample
         sampler_name = "distinguishable"
 
-    seed = config["seed"]
-    threshold = config["detector"] == "threshold"
-
-    def one(i: int) -> str:
-        counts = draw(np.random.default_rng([seed, i]))
-        record = {"sample_id": i, "sampler": sampler_name, "seed": seed, "stream": i}
-        if threshold:
-            record["clicks"] = [bool(c) for c in threshold_coarse_grain(counts)]
-        else:
-            record["counts"] = [int(c) for c in counts]
-        return _json_line(record)
-
-    n = config["n_samples"]
+    seed, n = config["seed"], config["n_samples"]
     with open(config["out"], "w") as fh:
         fh.write(_json_line({"config": _embedded(config)}))
-        if config["threads"] > 1:
-            with ThreadPoolExecutor(max_workers=config["threads"]) as pool:
-                for line in pool.map(one, range(n)):
-                    fh.write(line)
-        else:
-            for i in range(n):
-                fh.write(one(i))
+        for i in range(n):
+            counts = draw(np.random.default_rng([seed, i]))
+            record = {"sample_id": i, "sampler": sampler_name, "seed": seed, "stream": i}
+            if config["detector"] == "threshold":  # a click is a count >= 1
+                record["clicks"] = [bool(c) for c in counts]
+            else:
+                record["counts"] = [int(c) for c in counts]
+            fh.write(_json_line(record))
     return f"wrote {n} samples to {config['out']}"
 
 
@@ -433,9 +406,6 @@ def main(argv=None) -> int:
             )
             return EXIT_INVALID_CONFIG
         return run(config)
-    except ConfigurationError as exc:
-        _emit_error("invalid-config", str(exc), problems=exc.problems)
-        return EXIT_INVALID_CONFIG
     except SizeCapError as exc:
         _emit_error("size-cap", str(exc))
         return EXIT_SIZE_CAP

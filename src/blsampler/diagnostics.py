@@ -19,8 +19,9 @@ checked against ground truth:
 * :func:`enumerate_distinguishable_distribution` — the same outcomes
   with photons treated as distinguishable (permanent of ``|U|^2``).
 
-Distributions are stored as explicit outcome tables (count rows +
-probabilities).  Truncated tables carry mass below one; the
+Distributions are stored as explicit photon-number tables (count rows +
+probabilities); threshold clicks are an output format of the CLI, not a
+table kind.  Truncated tables carry mass below one; the
 ``tvd_upper_bound`` helper turns a table comparison into a rigorous
 upper bound on the true total-variation distance by charging each
 table's missing tail in full.
@@ -68,7 +69,6 @@ __all__ = [
     "tvd",
     "tvd_upper_bound",
     "empirical_distribution",
-    "coarse_grain_distribution",
     "product_distribution",
     "enumerate_gbs_distribution",
     "enumerate_fock_distribution",
@@ -99,16 +99,12 @@ DP_MAX_ELEMENTS = 3e8
 
 @dataclass(frozen=True)
 class Distribution:
-    """Explicit outcome table: one count row per outcome, plus weights.
-
-    ``kind`` separates photon-number tables (``"pnr"``) from
-    threshold-click tables (``"clicks"``); distances across kinds are
-    refused.  ``mass`` below one means the table was truncated.
+    """Explicit photon-number table: one count row per outcome, plus
+    weights.  ``mass`` below one means the table was truncated.
     """
 
     counts: np.ndarray
     probs: np.ndarray
-    kind: str = "pnr"
 
     def __post_init__(self):
         counts = np.atleast_2d(np.asarray(self.counts))
@@ -161,8 +157,6 @@ def tvd(d1: Distribution, d2: Distribution) -> float:
     ``n1 + n2`` keys; each outcome's difference is summed in ascending
     key order.  Tables wider than 62 key bits compare through dicts.
     """
-    if d1.kind != d2.kind:
-        raise ValueError(f"cannot compare kinds {d1.kind!r} and {d2.kind!r}")
     if d1.n_modes != d2.n_modes:
         raise ValueError("outcome tables cover different mode counts")
     m = d1.n_modes
@@ -202,23 +196,13 @@ def tvd_upper_bound(d1: Distribution, d2: Distribution) -> float:
     return tvd(d1, d2) + _tail_slop(d1, d2)
 
 
-def empirical_distribution(samples, kind: str = "pnr") -> Distribution:
+def empirical_distribution(samples) -> Distribution:
     """Normalized frequency table of an outcome batch."""
     samples = np.atleast_2d(np.asarray(samples))
     if samples.shape[0] == 0:
         raise ValueError("no samples")
     rows, freq = np.unique(samples.astype(np.int64), axis=0, return_counts=True)
-    return Distribution(rows, freq / samples.shape[0], kind=kind)
-
-
-def coarse_grain_distribution(dist: Distribution) -> Distribution:
-    """Photon-number table -> threshold-click table (count >= 1)."""
-    if dist.kind != "pnr":
-        raise ValueError("can only coarse-grain a photon-number table")
-    clicks = (dist.counts >= 1).astype(np.int8)
-    rows, inverse = np.unique(clicks, axis=0, return_inverse=True)
-    probs = np.bincount(inverse.ravel(), weights=dist.probs, minlength=rows.shape[0])
-    return Distribution(rows, probs, kind="clicks")
+    return Distribution(rows, freq / samples.shape[0])
 
 
 def product_distribution(
@@ -236,8 +220,6 @@ def product_distribution(
     acc_counts = np.zeros((1, 0), dtype=np.int16)
     acc_probs = np.ones(1)
     for dist in dists:
-        if dist.kind != "pnr":
-            raise ValueError("product tables are for photon-number outcomes")
         totals1, totals2 = acc_counts.sum(axis=1), dist.counts.sum(axis=1)
         cap = budget
         if cap is None:  # the largest combined total: every pair passes
@@ -666,7 +648,7 @@ def theorem_bound_report(
     circuit: Circuit,
     lattice: LatticeSpec,
     squeezing: float,
-    policy=None,
+    policy: TruncationPolicy,
     enumerate_modes_cap: int = 8,
     enumerate_budget_cap: int = 16,
 ) -> dict:
@@ -676,10 +658,9 @@ def theorem_bound_report(
     leakage, the output covariance and the blocks.  Measures the leakage,
     evaluates each analytic link (covariance-difference bound from
     leakage, infidelity bound, distance bound) on the measured
-    quantities, and — when a policy is given and the instance is small
-    enough — enumerates both distributions to report the true table
-    distance alongside the bounds.  Enumeration budgets
-    are clamped to ``enumerate_budget_cap``; the mass left outside the
+    quantities, and — when the instance is small enough — enumerates both
+    distributions under ``policy`` to report the true table distance
+    alongside the bounds.  Enumeration budgets are clamped to ``enumerate_budget_cap``; the mass left outside the
     clamped tables is charged to ``tvd_upper``, so the reported upper
     bound stays rigorous.
     """
@@ -706,7 +687,7 @@ def theorem_bound_report(
         "infidelity_bound": infidelity_bound(x_measured, n, squeezing),
         "tvd_bound": tvd_bound(x_measured, n, squeezing),
     }
-    if policy is not None and lattice.n_modes <= enumerate_modes_cap:
+    if lattice.n_modes <= enumerate_modes_cap:
         budget = min(int(policy.n_total_max), enumerate_budget_cap)
         clamped = TruncationPolicy(policy.epsilon, budget)
         exact = enumerate_gbs_distribution(quad_to_complex(v_out), clamped)
@@ -744,15 +725,12 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def write_csv(path, fieldnames, rows, config: dict | None = None) -> None:
+def write_csv(path, fieldnames, rows, config: dict) -> None:
     """Write rows as CSV, preceded by a ``# config:`` comment line."""
     with open(path, "w", newline="") as fh:
-        if config is not None:
-            fh.write(
-                "# config: "
-                + json.dumps(config, sort_keys=True, default=_json_default)
-                + "\n"
-            )
+        fh.write(
+            "# config: " + json.dumps(config, sort_keys=True, default=_json_default) + "\n"
+        )
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:

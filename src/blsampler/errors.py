@@ -7,7 +7,6 @@ conditioning and sampling failures exit 4.
 
 __all__ = [
     "SimulationError",
-    "ConfigurationError",
     "MalformedCircuitError",
     "SizeCapError",
     "UnsupportedRankError",
@@ -18,14 +17,6 @@ __all__ = [
 
 class SimulationError(Exception):
     """Base class for all package-specific errors."""
-
-
-class ConfigurationError(SimulationError):
-    """Invalid run configuration; carries the full list of field errors."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 class MalformedCircuitError(SimulationError):

@@ -68,7 +68,6 @@ __all__ = [
     "BlockApproxSampler",
     "DistinguishableFockSampler",
     "distinguishable_fock_sample",
-    "threshold_coarse_grain",
 ]
 
 logger = logging.getLogger(__name__)
@@ -433,8 +432,3 @@ def distinguishable_fock_sample(
 ) -> np.ndarray:
     """One draw of :class:`DistinguishableFockSampler` (builds its CDF)."""
     return DistinguishableFockSampler(unitary, lattice).sample(rng)
-
-
-def threshold_coarse_grain(counts) -> np.ndarray:
-    """Photon-number outcome -> threshold-detector clicks (count >= 1)."""
-    return np.asarray(counts, dtype=int) >= 1

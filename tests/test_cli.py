@@ -184,12 +184,10 @@ def test_exact_sampling_artifact_schema(tmp_path, capsys):
 
 
 def test_sampling_reruns_are_byte_identical(tmp_path):
-    a, b, c = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(_sample_args("sample-exact", a)) == 0
     assert main(_sample_args("sample-exact", b)) == 0
-    assert main(_sample_args("sample-exact", c, extra=("--threads", "3"))) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes() == c.read_bytes()
 
 
 def test_exact_sampling_vacuum_gives_zero_counts(tmp_path):
@@ -202,14 +200,20 @@ def test_exact_sampling_vacuum_gives_zero_counts(tmp_path):
 
 
 def test_threshold_detector_emits_boolean_clicks(tmp_path):
-    out = tmp_path / "clicks.jsonl"
-    args = _sample_args("sample-exact", out, extra=("--detector", "threshold"))
-    assert main(args) == 0
-    records = _read_jsonl(out)[1:]
-    assert all("counts" not in r for r in records)
-    for record in records:
-        assert len(record["clicks"]) == 4
+    # at the same seed the clicks are the pnr run's counts read as count >= 1
+    runs = {}
+    for detector in ("pnr", "threshold"):
+        out = tmp_path / f"{detector}.jsonl"
+        args = _sample_args("sample-exact", out, extra=("--detector", detector))
+        args[args.index("0.3")], args[args.index("5")] = "1.0", "20"
+        assert main(args) == 0
+        runs[detector] = _read_jsonl(out)[1:]
+    counts = [r["counts"] for r in runs["pnr"]]
+    assert max(max(c) for c in counts) >= 2
+    assert all("counts" not in r for r in runs["threshold"])
+    for record, row in zip(runs["threshold"], counts, strict=True):
         assert all(isinstance(c, bool) for c in record["clicks"])
+        assert record["clicks"] == [c >= 1 for c in row]
 
 
 def test_approx_sampler_artifact(tmp_path):
@@ -350,14 +354,18 @@ def test_modes_refuse_flags_they_never_read(capsys, mode, flag, value):
     assert _stderr_json(capsys)["problems"] == [f"{flag} has no effect in {mode}"]
 
 
-def test_threads_stays_accepted_by_every_run_mode(tmp_path):
-    for mode in ("diagnose-leakage", "diagnose-walk", "diagnose-bounds"):
+def test_threads_stays_accepted_by_every_run_mode(tmp_path, capsys):
+    # the benchmark passes --threads 1; sampling has no thread pool, so any
+    # other value is refused
+    for mode in ("sample-approx", "diagnose-leakage", "diagnose-walk", "diagnose-bounds"):
         argv = ["--mode", mode, "--dim", "1", "--sources", "1", "--sublattice-edge", "2",
-                "--depth", "1", "--samples", "2", "--threads", "1",
+                "--depth", "1", "--samples", "2", "--seed", "3",
                 "--out", str(tmp_path / mode)]
-        if mode == "diagnose-bounds":
+        if mode in ("sample-approx", "diagnose-bounds"):
             argv += ["--squeezing", "0.5"]
-        assert main(argv) == 0, mode
+        assert main(argv + ["--threads", "1"]) == 0, mode
+        assert main(argv + ["--threads", "2"]) == 2, mode
+        assert _stderr_json(capsys)["problems"] == ["--threads must be 1"]
 
 
 # ------------------------------------------------------------- diagnostics

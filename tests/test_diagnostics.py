@@ -17,7 +17,6 @@ from blsampler import (
     accumulate_unitary,
     block_approx_covariance,
     build_lattice,
-    coarse_grain_distribution,
     distinguishable_fock_sample,
     empirical_distribution,
     enumerate_distinguishable_distribution,
@@ -130,10 +129,7 @@ def test_tvd_hand_value():
 
 def test_tvd_refuses_mismatched_tables():
     pnr = Distribution(np.array([[0]]), np.array([1.0]))
-    clicks = Distribution(np.array([[0]]), np.array([1.0]), kind="clicks")
     wide = Distribution(np.array([[0, 0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        tvd(pnr, clicks)
     with pytest.raises(ValueError):
         tvd(pnr, wide)
 
@@ -171,21 +167,6 @@ def test_empirical_distribution_frequencies():
         empirical_distribution(np.zeros((0, 2)))
 
 
-def test_coarse_grain_merges_click_patterns():
-    dist = Distribution(
-        np.array([[0, 0], [1, 0], [2, 0], [1, 2]]),
-        np.array([0.1, 0.2, 0.3, 0.4]),
-    )
-    clicks = coarse_grain_distribution(dist)
-    assert clicks.kind == "clicks"
-    table = clicks.as_dict()
-    assert table[(0, 0)] == pytest.approx(0.1)
-    assert table[(1, 0)] == pytest.approx(0.5)
-    assert table[(1, 1)] == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        coarse_grain_distribution(clicks)
-
-
 def test_product_distribution_hand_case():
     d1 = Distribution(np.array([[0], [1]]), np.array([0.3, 0.7]))
     d2 = Distribution(np.array([[0, 0], [1, 1]]), np.array([0.6, 0.4]))
@@ -206,9 +187,6 @@ def test_product_distribution_validates_mode_lists():
     d1 = Distribution(np.array([[0], [1]]), np.array([0.3, 0.7]))
     with pytest.raises(ValueError):
         product_distribution([d1], [[0, 1]], 2)
-    clicks = Distribution(np.array([[0]]), np.array([1.0]), kind="clicks")
-    with pytest.raises(ValueError):
-        product_distribution([clicks], [[0]], 1)
 
 
 def _reference_product(dists, mode_lists, n_modes, budget):
@@ -775,8 +753,6 @@ def test_theorem_bound_report_skips_enumeration_when_large():
     )
     assert "tvd_table" not in report
     assert "x_measured" in report
-    bare = theorem_bound_report(circ, lat, 0.5)
-    assert "tvd_table" not in bare
 
 
 def _three_replay_report(circuit, lattice, squeezing, policy):

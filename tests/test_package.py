@@ -5,7 +5,6 @@ from blsampler import diagnostics, errors, gaussian, kernels, lattice, samplers
 
 _ERROR_CLASSES = {
     "SimulationError",
-    "ConfigurationError",
     "MalformedCircuitError",
     "SizeCapError",
     "UnsupportedRankError",

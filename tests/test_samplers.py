@@ -25,7 +25,6 @@ from blsampler import (
     reduce_complex,
     sample_random_circuit,
     state_covariance,
-    threshold_coarse_grain,
     truncation_threshold,
     tvd,
 )
@@ -480,12 +479,3 @@ def test_fock_sampler_single_photon_marginal_matches_column():
     freq = hits / n
     se = np.sqrt(weights * (1 - weights) / n)
     assert (np.abs(freq - weights) <= 4 * se + 1e-9).all()
-
-
-# ---------------------------------------------------------------- threshold
-
-
-def test_threshold_coarse_grain_maps_counts_to_clicks():
-    clicks = threshold_coarse_grain([0, 3, 1, 0])
-    assert clicks.dtype == bool
-    assert clicks.tolist() == [False, True, True, False]
