@@ -17,8 +17,9 @@ Rerunning a sampling mode with the same config and seed reproduces the
 file byte for byte: sample i draws from its own ``default_rng([seed, i])``
 substream.
 
-Exit codes: 0 success, 2 invalid config, 3 oracle/kernel scale exceeded,
-4 numerical conditioning or sampling failure.  stderr receives JSON
+Exit codes: 0 success, 2 invalid config, 3 oracle/kernel scale exceeded
+(a photon budget past its cap included, refused in ``validate``), 4
+numerical conditioning or sampling failure.  stderr receives JSON
 error objects only (enabling ``BLS_LOG`` adds human-readable log lines).
 """
 
@@ -244,7 +245,12 @@ def validate(args) -> tuple[dict, list[str]]:
         gamma_scale=lattice.gamma_scale,
     )
     if squeezing is not None:
-        policy = truncation_threshold(config["n_sources"], squeezing, epsilon)
+        ceiling = None  # the block laws' cells, truncation_threshold's default
+        if mode == "sample-exact":
+            # the engine's rank-4 moment tables hold comb(2B + 4, 4) entries
+            # and stop at degree 2B = 256
+            ceiling = max(b for b in range(129) if math.comb(2 * b + 4, 4) <= MAX_MODE_CELLS)
+        policy = truncation_threshold(config["n_sources"], squeezing, epsilon, ceiling)
         config.update(
             n_total_max=policy.n_total_max, n_mode_max=policy.n_mode_max
         )

@@ -37,6 +37,7 @@ the residual available exactly, so the stop point is deterministic.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -58,7 +59,7 @@ from .kernels import (
     hafnian_general,
     takagi_factor,
 )
-from .lattice import Circuit, LatticeSpec, _source_cols, source_columns
+from .lattice import MAX_MODE_CELLS, Circuit, LatticeSpec, _source_cols, source_columns
 
 __all__ = [
     "TruncationPolicy",
@@ -108,33 +109,100 @@ class TruncationPolicy:
 
 
 def truncation_threshold(
-    n_sources: int, squeezing: float, epsilon: float = 1e-6
+    n_sources: int, squeezing: float, epsilon: float = 1e-6, max_photons: int | None = None
 ) -> TruncationPolicy:
-    """Photon budget from the negative-binomial pair-number tail.
+    """Photon budget from the exact tail of the photon-pair count.
 
-    The number of photon *pairs* emitted by the squeezers is capped at
-    ``ceil(max(2 sech^2(r) ln(1/eps), 4 N sech^2(r)))``; the second term
-    is a floor guard keeping the cap above the distribution's bulk even
-    when ``eps`` is large.  The photon budget is twice the pair budget.
-    Squeezing so large that ``sech^2 r`` underflows leaves no photon in
-    the budget and raises :class:`SizeCapError`.
+    N squeezers through a passive circuit emit ``K ~ NegBin(N/2, sech^2 r)``
+    photon pairs.  The budget is ``2 max(k_floor, k*)``: ``k*`` is the
+    smallest ``k`` with ``P(K > k) <= epsilon`` (0 at ``r = 0``), and
+    ``k_floor = ceil(max(2 sech^2(r) ln(1/eps), 4 N sech^2(r)))`` is the
+    earlier rule, kept as a floor so that no budget drops more mass than it
+    used to.  The floor serves the benchmark, which compares its exact-small
+    table (N=2, r=0.5, 44 photons) with untruncated moments to 1e-9; it goes
+    once that check allows for the dropped mass (ROADMAP item 1).
+
+    ``max_photons`` caps the budget; by default the ``N (budget + 2)`` cells
+    of the block sampler's laws stay within ``MAX_MODE_CELLS``.  A budget
+    past the cap raises :class:`SizeCapError`.  The tail at the cap decides
+    that first, so a refusal costs one tail evaluation.
     """
     if n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
-    if squeezing < 0:
+    if not squeezing >= 0:  # NaN too
         raise ValueError(f"squeezing must be >= 0, got {squeezing}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if max_photons is None:
+        max_photons = max(MAX_MODE_CELLS // n_sources - 2, 0)
     sech2 = _sech2(squeezing)
-    pairs = math.ceil(
+    floor = math.ceil(
         max(2.0 * sech2 * math.log(1.0 / epsilon), 4.0 * n_sources * sech2)
     )
-    if pairs == 0:
+    pairs = max(floor, _pair_quantile(n_sources / 2, sech2, epsilon, max_photons // 2))
+    if 2 * pairs > max_photons:
         raise SizeCapError(
-            f"squeezing {squeezing} underflows sech^2 r to {sech2}: "
-            "the photon budget would be 0"
+            f"squeezing {squeezing} needs a photon budget above {max_photons} "
+            f"to keep the dropped mass below epsilon {epsilon}"
         )
     return TruncationPolicy(epsilon=epsilon, n_total_max=2 * pairs)
+
+
+def _pair_quantile(half_n: float, sech2: float, epsilon: float, cap: int) -> int:
+    """Smallest ``k <= cap`` with ``P(K > k) <= epsilon`` for ``K ~
+    NegBin(half_n, sech2)``, or ``cap + 1`` when there is none.  The tail at
+    ``cap`` is read first; below it a bisection takes ``log2(cap)`` tails."""
+    if _pair_tail(cap, half_n, sech2) > epsilon:
+        return cap + 1
+    return bisect.bisect_left(
+        range(cap), True, key=lambda k: _pair_tail(k, half_n, sech2) <= epsilon
+    )
+
+
+def _pair_tail(k: int, half_n: float, sech2: float) -> float:
+    """``P(K > k)`` for ``K ~ NegBin(half_n, sech2)``, ``k >= 0``.
+
+    This is the regularized incomplete beta ``I_x(k + 1, half_n)`` at ``x = 1
+    - sech2``, read off its continued fraction on the side where that
+    converges fast (the other side is one minus the mirrored fraction).  No
+    pmf term is formed, so nothing underflows at large N, and a tail far
+    below one keeps its relative accuracy.
+    """
+    if sech2 >= 1.0:
+        return 0.0
+    if sech2 == 0.0:
+        return 1.0
+    logs = (math.log1p(-sech2), math.log(sech2))  # log x, log(1 - x)
+    a, b = k + 1.0, half_n
+    if (1.0 - sech2) * (a + b + 2.0) < a + 1.0:
+        return _beta_fraction(a, b, *logs)
+    return 1.0 - _beta_fraction(b, a, *logs[::-1])
+
+
+def _beta_fraction(a: float, b: float, log_x: float, log_y: float) -> float:
+    """``I_x(a, b)`` with ``y = 1 - x``, for ``x`` below ``(a + 1)/(a + b + 2)``.
+
+    ``I_x(a, b) = x^a y^b / (a B(a, b)) / (1 + d_1/(1 + d_2/(1 + ...)))``,
+    the fraction evaluated by the modified Lentz method.  It ends exactly
+    where a coefficient ``d_2m = m (b - m) x / ...`` vanishes.
+    """
+    x = math.exp(log_x)
+    front = math.exp(
+        a * log_x + b * log_y + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    ) / a
+    c, d, fraction = 1.0, 0.0, 1.0
+    for j in itertools.count(1):
+        m = j // 2
+        if j % 2:
+            coeff = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            coeff = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        # a zero denominator stands in as 1e-300, as the Lentz method does
+        d = 1.0 / ((1.0 + coeff * d) or 1e-300)
+        c = (1.0 + coeff / c) or 1e-300
+        fraction *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return front / fraction
 
 
 def _sech2(squeezing: float) -> float:

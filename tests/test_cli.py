@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_threshold_detector_emits_boolean_clicks(tmp_path):
     runs = {}
     for detector in ("pnr", "threshold"):
         out = tmp_path / f"{detector}.jsonl"
-        args = _sample_args("sample-exact", out, extra=("--detector", detector))
+        args = _sample_args("sample-approx", out, extra=("--detector", detector))
         args[args.index("0.3")], args[args.index("5")] = "1.0", "20"
         assert main(args) == 0
         runs[detector] = _read_jsonl(out)[1:]
@@ -248,7 +249,9 @@ def test_fock_sampler_conserves_photons(tmp_path):
         pytest.param(
             "--mode sample-approx --dim 2 --sources 4 --sublattice-edge 2 "
             "--depth 3 --squeezing 1.0 --samples 20 --seed 5",
-            "8fd6ac066ada0aee82ce6cb6204c4c28dba0c89f89fc6d1d4d9b6275ba012561",
+            # re-pinned when the budget became the exact pair quantile: 24 ->
+            # 60 photons, which moves the config line and sample 19 (22 photons)
+            "686face3779a42258b693de372c2e241036128aa82f9c68b5b6f65524b22762c",
             id="sample-approx",
         ),
         pytest.param(
@@ -576,17 +579,46 @@ def test_out_of_range_squeezing_fails_cleanly(tmp_path, mode, squeezing):
         "--depth", "2", "--squeezing", squeezing, "--samples", "2", "--seed", "1",
         "--out", str(tmp_path / "out"),
     )
-    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert proc.returncode in (2, 3), proc.stderr
     if squeezing in ("nan", "inf"):
         assert proc.returncode == 2
-    if squeezing in ("380", "400", "1e308"):
-        # sech^2 r underflows to 0, so the photon budget would be empty
+    else:
+        # the pair count's tail at the budget cap is above epsilon (it is 1
+        # once sech^2 r underflows to 0, from r ~ 372)
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"] == "size-cap"
-    if squeezing == "200" and mode == "diagnose-bounds":
-        assert proc.returncode == 4
     for line in proc.stderr.splitlines():
         json.loads(line)
+
+
+@pytest.mark.parametrize("mode", ["sample-exact", "sample-approx", "diagnose-bounds"])
+def test_budget_past_its_cap_is_refused_in_validate(tmp_path, capsys, mode):
+    # the budget's cap is the block laws' N * (B + 2) cells, and in
+    # sample-exact also the moment tables' comb(2B + 4, 4) entries
+    out = tmp_path / "out"
+    for squeezing in ("50", "200", "380", "400", "1e308"):
+        argv = ["--mode", mode, "--dim", "1", "--sources", "2", "--sublattice-edge", "2",
+                "--depth", "2", "--squeezing", squeezing, "--samples", "2", "--seed", "1",
+                "--out", str(out)]
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match="photon budget above"):
+            validate(_build_parser().parse_args(argv))
+        assert time.perf_counter() - start < 0.5, squeezing
+        assert main(argv) == 3
+        assert _stderr_json(capsys)["error"] == "size-cap"
+        assert not out.exists()
+
+
+def test_exact_budget_past_the_moment_tables_is_refused(tmp_path, capsys):
+    # r = 1.45 needs 124 photons: comb(252, 4) = 1.6e8 table entries
+    argv = ["--dim", "1", "--sources", "2", "--sublattice-edge", "2", "--depth", "2",
+            "--squeezing", "1.45", "--samples", "2", "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    assert main(["--mode", "sample-exact", *argv]) == 3
+    assert "photon budget above 98" in _stderr_json(capsys)["message"]
+    assert main(["--mode", "sample-approx", *argv]) == 0
+    config = _read_jsonl(tmp_path / "out")[0]["config"]
+    assert config["n_total_max"] == 124
 
 
 def test_walk_with_one_trial_is_refused_before_any_work(tmp_path):
@@ -645,7 +677,7 @@ def _fuzz_argv(rng, out, flag_rng):
 
 def test_seeded_config_fuzz_keeps_the_exit_contract(tmp_path, capsys, monkeypatch):
     # every config either runs or is refused with a documented exit code
-    # and JSON-only stderr, never a traceback
+    # and JSON-only stderr, never a traceback; none fails mid-run (exit 4)
     monkeypatch.delenv("BLS_LOG", raising=False)
     rng, flag_rng = random.Random(2024), random.Random(2025)
     ran = 0
@@ -655,7 +687,7 @@ def test_seeded_config_fuzz_keeps_the_exit_contract(tmp_path, capsys, monkeypatc
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        assert code in (0, 2, 3, 4), argv
+        assert code in (0, 2, 3), argv
         for line in capsys.readouterr().err.splitlines():
             if line.strip():
                 json.loads(line)

@@ -32,7 +32,13 @@ from blsampler.diagnostics import Distribution
 from blsampler.errors import SamplingError, SizeCapError
 from blsampler.gaussian import a_matrix
 from blsampler.kernels import LOW_RANK_COLUMN_CAP, hafnian_general
-from blsampler.samplers import MAX_SAMPLE_RESTARTS, _block_total_law
+from blsampler.lattice import MAX_MODE_CELLS
+from blsampler.samplers import (
+    MAX_SAMPLE_RESTARTS,
+    _block_total_law,
+    _pair_quantile,
+    _sech2,
+)
 
 
 def _pure_sigma(dim, n_sources, edge, depth, r, seed):
@@ -45,11 +51,79 @@ def _pure_sigma(dim, n_sources, edge, depth, r, seed):
 
 
 def test_truncation_threshold_reference_values():
-    pol = truncation_threshold(2, 0.5, 1e-6)
-    assert pol.n_total_max == 44
-    assert pol.n_mode_max == 44
-    pol1 = truncation_threshold(1, 1.0, 1e-6)
-    assert pol1.n_total_max == 24
+    # the earlier rule's floor keeps N=2 and N=8 at r=0.5 (44 and 52); from
+    # r=1 the exact quantile takes over: (1, 1.0) used to get 24 photons,
+    # which drop 8.4e-4 of the mass
+    budgets = {(2, 0.5): 44, (8, 0.5): 52, (2, 1.0): 50, (8, 1.0): 74, (8, 1.5): 210,
+               (2, 2.5): 1024, (4, 1.0): 60, (3, 0.1): 56, (1, 1.0): 44}
+    for (n, r), budget in budgets.items():
+        pol = truncation_threshold(n, r, 1e-6)
+        assert (pol.n_total_max, pol.n_mode_max) == (budget, budget), (n, r)
+
+
+def _pair_tail_oracle(k, n_sources, sech2):
+    """P(K > k) for the pair count K ~ NegBin(N/2, sech2), summed term by
+    term from lgamma until the terms past the mode are 60 e-folds below the
+    largest."""
+    if sech2 == 1.0:
+        return 0.0
+    a, log_p, log_q = n_sources / 2, math.log(sech2), math.log1p(-sech2)
+    mode = (a - 1) * (1 - sech2) / sech2
+    total, top = 0.0, -math.inf
+    for j in itertools.count(k + 1):
+        log_term = (math.lgamma(j + a) - math.lgamma(a) - math.lgamma(j + 1)
+                    + a * log_p + j * log_q)
+        top = max(top, log_term)
+        if j > mode and log_term < top - 60:
+            return total
+        total += math.exp(log_term)
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 3, 8, 64, 4096])
+def test_photon_budget_is_the_exact_pair_quantile_floored(n_sources):
+    for r, eps in itertools.product([0, 0.05, 0.5, 1, 2.5], [1e-12, 1e-6, 0.3]):
+        sech2 = _sech2(r)
+        k = _pair_quantile(n_sources / 2, sech2, eps, 10**6)
+        assert _pair_tail_oracle(k, n_sources, sech2) <= eps, (r, eps)
+        if k > 0:  # and no smaller k will do
+            assert _pair_tail_oracle(k - 1, n_sources, sech2) > eps, (r, eps)
+        floor = math.ceil(max(2 * sech2 * math.log(1 / eps), 4 * n_sources * sech2))
+        budget = 2 * max(k, floor)
+        if n_sources * (budget + 2) > MAX_MODE_CELLS:  # the block laws' cells
+            with pytest.raises(SizeCapError, match="photon budget above"):
+                truncation_threshold(n_sources, r, eps)
+        else:
+            pol = truncation_threshold(n_sources, r, eps)
+            assert pol.n_total_max == budget, (r, eps)
+            assert _pair_tail_oracle(budget // 2, n_sources, sech2) <= eps
+
+
+def test_photon_budget_refuses_past_the_callers_cap():
+    # (2, 1.0) needs 50 photons; sech^2 r underflows to 0 from r ~ 372
+    assert truncation_threshold(2, 1.0, 1e-6, max_photons=50).n_total_max == 50
+    for r, cap in [(1.0, 49), (200.0, 10**6), (400.0, 10**6)]:
+        with pytest.raises(SizeCapError, match=f"photon budget above {cap}"):
+            truncation_threshold(2, r, 1e-6, max_photons=cap)
+
+
+def test_block_laws_keep_all_but_epsilon_at_the_budget():
+    # the sample-approx pin's config: a block total is at most twice its
+    # source's pairs, so each block law at the budget keeps >= 1 - eps of
+    # its closed form; the earlier 24-photon budget did not
+    lat = build_lattice(2, 4, 2)
+    circ = sample_random_circuit(lat, 3, np.random.default_rng([5]))
+    columns = source_columns(circ)
+    budget = truncation_threshold(4, 1.0, 1e-6).n_total_max
+    assert budget == 60
+    kept = []
+    for cap in (24, budget):
+        for b, modes in enumerate(lat.sublattices):
+            q = float(np.sum(np.abs(columns[modes, b]) ** 2))
+            assert 0.0 < q <= 1.0 + 1e-12
+            law = _block_total_law(1.0, min(q, 1.0), 200)  # mass past 200 < 1e-20
+            kept.append((cap, law[: cap + 1].sum()))
+    assert min(m for cap, m in kept if cap == budget) >= 1 - 1e-6
+    assert min(m for cap, m in kept if cap == 24) < 1 - 1e-6
 
 
 def test_truncation_floor_guard_dominates_for_tiny_tails():
