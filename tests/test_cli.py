@@ -254,6 +254,14 @@ def test_fock_sampler_conserves_photons(tmp_path):
             "686face3779a42258b693de372c2e241036128aa82f9c68b5b6f65524b22762c",
             id="sample-approx",
         ),
+        # pinned before the records were written with tolist: clicks must
+        # stay the JSON booleans of count >= 1
+        pytest.param(
+            "--mode sample-approx --dim 2 --sources 4 --sublattice-edge 2 "
+            "--depth 3 --squeezing 1.0 --detector threshold --samples 20 --seed 5",
+            "f149e852e40a3e9cdc11273207ff10e3a6a0a029c66b2e6f6bf51903d4ee6dd8",
+            id="sample-approx-threshold",
+        ),
         pytest.param(
             "--mode sample-exact --dim 1 --sources 2 --sublattice-edge 2 "
             "--depth 2 --squeezing 0.8 --epsilon 1e-3 --samples 10 --seed 5",
