@@ -295,9 +295,9 @@ def _run_sampling(config: dict) -> str:
             counts = draw(np.random.default_rng([seed, i]))
             record = {"sample_id": i, "sampler": sampler_name, "seed": seed, "stream": i}
             if config["detector"] == "threshold":  # a click is a count >= 1
-                record["clicks"] = [bool(c) for c in counts]
+                record["clicks"] = (counts > 0).tolist()
             else:
-                record["counts"] = [int(c) for c in counts]
+                record["counts"] = counts.tolist()
             fh.write(_json_line(record))
     return f"wrote {n} samples to {config['out']}"
 

@@ -401,7 +401,7 @@ class ChainRuleEngine:
             joints = self.conditional_joints(prefix, prefix_prob)
             if not (joints.sum() > DEGENERATE_PROB):
                 return None
-            n = int(_inverse_cdf(np.cumsum(joints)[:, None], rng.random(1))[0])
+            n = int(_inverse_cdf(np.cumsum(joints), rng.random()))
             out[k] = n
             prefix = prefix + (n,)
             prefix_prob = float(joints[n])
@@ -413,11 +413,11 @@ class BlockApproxSampler:
 
     Block ``b`` keeps only its own source ``s``: its photon total comes from
     the closed-form law (module docstring) conditioned on ``n_total_max``,
-    and the photons land by ``|U[j, s]|^2 / q`` over its modes.  The total
-    budget caps each block's total, so no mode can exceed it.  Only the
-    source columns of ``U`` are used; ``blocks`` (from
-    ``block_approx_covariance``) lends its columns, so both forms draw
-    identical samples.
+    and the photons land by ``|U[j, s]|^2 / q`` over its modes, each draw
+    one binary search over a cumulative array built once.  The total budget
+    caps each block's total, so no mode can exceed it.  Only the source
+    columns of ``U`` are used; ``blocks`` (from ``block_approx_covariance``)
+    lends its columns, so both forms draw identical samples.
     """
 
     def __init__(
@@ -432,15 +432,15 @@ class BlockApproxSampler:
         self.lattice = lattice
         self._blocks = []
         for b, modes in enumerate(lattice.sublattices):
-            route = np.cumsum(np.abs(columns[modes, b, None]) ** 2, axis=0)
-            q = min(route[-1, 0], 1.0)  # rounding can push the share past one
+            route = np.cumsum(np.abs(columns[modes, b]) ** 2)
+            q = min(route[-1], 1.0)  # rounding can push the share past one
             law = _block_total_law(squeezing, q, policy.n_total_max)
-            self._blocks.append((modes, np.cumsum(law)[:, None], route))
+            self._blocks.append((modes, np.cumsum(law), route))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         out = np.zeros(self.lattice.n_modes, dtype=int)
         for modes, law, route in self._blocks:
-            n = int(_inverse_cdf(law, rng.random(1))[0])
+            n = int(_inverse_cdf(law, rng.random()))
             landed = _inverse_cdf(route, rng.random(n))
             out[modes] = np.bincount(landed, minlength=modes.size)
         return out
@@ -458,20 +458,20 @@ def _block_total_law(squeezing: float, q: float, n_max: int) -> np.ndarray:
     c0 = _sech2(squeezing) + t * q * (2.0 - q)
     c1 = -2.0 * t * q * (1.0 - q)
     c2 = -t * q * q
-    a = np.zeros(n_max + 2)  # a[-1] stands in for a_{-1} = 0
-    a[0] = 1.0
+    a = np.zeros(n_max + 2)  # the zero past a_{n_max} keeps the sum's pairwise grouping
+    a[0] = a_n = 1.0
+    a_prev = 0.0  # a_{-1}
     for n in range(n_max if q > 0.0 else 0):
-        a[n + 1] = -(c1 * (2 * n + 1) * a[n] + 2 * c2 * n * a[n - 1]) / (2 * c0 * (n + 1))
+        a_n, a_prev = -(c1 * (2 * n + 1) * a_n + 2 * c2 * n * a_prev) / (2 * c0 * (n + 1)), a_n
+        a[n + 1] = a_n
     return a[:-1] / a.sum()
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF index of each uniform ``u[i]`` over unnormalized
-    cumulative weights: ``cdf`` holds one column shared by every draw, or
-    one column per draw.  Counting ``cdf <= u * total`` is
-    ``searchsorted(side="right")`` column by column."""
-    hits = (cdf <= u * cdf[-1]).sum(axis=0)
-    return np.minimum(hits, cdf.shape[0] - 1)
+def _inverse_cdf(cdf: np.ndarray, u: float | np.ndarray):
+    """Index of each uniform ``u`` (a float or an array) over the nondecreasing
+    cumulative weights ``cdf``: one binary search, ``O(log len(cdf))``, counts the
+    entries ``<= u * cdf[-1]``, leaving out the last so the index stays in range."""
+    return np.searchsorted(cdf[:-1], u * cdf[-1], side="right")
 
 
 class DistinguishableFockSampler:
@@ -483,7 +483,7 @@ class DistinguishableFockSampler:
     landing modes.  Binning independent draws realizes exactly the
     permutation-symmetrized single-configuration weights (each outcome's
     orderings accumulate on the same bin), so no permanent is needed.
-    The routing CDF over the source columns is built once, here.
+    The routing CDF, a column per photon, is built once, here.
     """
 
     def __init__(self, unitary: np.ndarray, lattice: LatticeSpec):
@@ -491,8 +491,8 @@ class DistinguishableFockSampler:
         self._route = np.cumsum(np.abs(_source_cols(unitary, lattice)) ** 2, axis=0)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        landed = _inverse_cdf(self._route, rng.random(self.lattice.n_sources))
-        return np.bincount(landed, minlength=self.lattice.n_modes)
+        below = self._route[:-1] <= rng.random(self.lattice.n_sources) * self._route[-1]
+        return np.bincount(below.sum(axis=0), minlength=self.lattice.n_modes)
 
 
 def distinguishable_fock_sample(

@@ -36,6 +36,7 @@ from blsampler.lattice import MAX_MODE_CELLS
 from blsampler.samplers import (
     MAX_SAMPLE_RESTARTS,
     _block_total_law,
+    _inverse_cdf,
     _pair_quantile,
     _sech2,
 )
@@ -495,6 +496,131 @@ def test_block_sampler_in_cone_matches_exact_sampler_statistics():
     mean_e /= n
     mean_a /= n
     assert np.abs(mean_e - mean_a).max() < 0.06
+
+
+# ------------------------------------------------------- draws and laws
+#
+# The references below are the dense forms the binary searches and the
+# float recurrence replaced; every sampler must draw exactly what they draw.
+
+
+def _dense_inverse_cdf(cdf, u):
+    """Reference: count ``cdf <= u * total`` per column, clamped to the last index."""
+    hits = (cdf <= u * cdf[-1]).sum(axis=0)
+    return np.minimum(hits, cdf.shape[0] - 1)
+
+
+def _array_block_total_law(squeezing, q, n_max):
+    """Reference: the recurrence of :func:`_block_total_law` read back from the array."""
+    t = math.tanh(squeezing) ** 2
+    c0 = _sech2(squeezing) + t * q * (2.0 - q)
+    c1 = -2.0 * t * q * (1.0 - q)
+    c2 = -t * q * q
+    a = np.zeros(n_max + 2)  # a[-1] stands in for a_{-1} = 0
+    a[0] = 1.0
+    for n in range(n_max if q > 0.0 else 0):
+        a[n + 1] = -(c1 * (2 * n + 1) * a[n] + 2 * c2 * n * a[n - 1]) / (2 * c0 * (n + 1))
+    return a[:-1] / a.sum()
+
+
+def _cumulative_columns(rng):
+    """Cumulative columns with ties, zero runs, an all-zero column and a
+    single entry; dyadic integer weights make ``u * total`` land on entries."""
+    yield np.zeros(5)
+    yield np.ones(1)
+    yield np.cumsum([0.0, 0.0, 3.0, 0.0, 0.0, 1.0, 4.0, 0.0])  # total 8
+    for length in (1, 2, 3, 7, 64, 300):
+        weights = rng.random(length)
+        weights[rng.random(length) < 0.4] = 0.0
+        yield np.cumsum(weights)
+        yield np.cumsum(rng.integers(0, 3, length).astype(float))
+
+
+def test_inverse_cdf_matches_the_dense_count():
+    rng = np.random.default_rng(181)
+    edges = np.array([0.0, 1.0 - 2.0**-53])
+    for cdf in _cumulative_columns(rng):
+        total = cdf[-1]
+        us = np.concatenate([edges, rng.random(200), cdf / total if total else edges])
+        assert np.array_equal(_inverse_cdf(cdf, us), _dense_inverse_cdf(cdf[:, None], us))
+        for u in us:
+            assert _inverse_cdf(cdf, float(u)) == _dense_inverse_cdf(cdf[:, None], u)[0]
+
+
+def test_block_total_law_matches_the_array_recurrence_bit_for_bit():
+    for r in (0.1, 0.5, 1.0, 5.0):
+        for q in (0.0, 0.3, 0.9, 0.99, 1.0):
+            for n_max in (0, 1, 2, 9, 130, 1001):
+                want = _array_block_total_law(r, q, n_max)
+                assert _block_total_law(r, q, n_max).tobytes() == want.tobytes()
+    assert (_block_total_law(5.0, 0.9, 131_762).tobytes()
+            == _array_block_total_law(5.0, 0.9, 131_762).tobytes())
+
+
+def _dense_block_draws(circ, lat, r, policy):
+    blocks = []
+    for b, modes in enumerate(lat.sublattices):
+        route = np.cumsum(np.abs(source_columns(circ)[modes, b, None]) ** 2, axis=0)
+        law = _block_total_law(r, min(route[-1, 0], 1.0), policy.n_total_max)
+        blocks.append((modes, np.cumsum(law)[:, None], route))
+
+    def draw(rng):
+        out = np.zeros(lat.n_modes, dtype=int)
+        for modes, law, route in blocks:
+            n = int(_dense_inverse_cdf(law, rng.random(1))[0])
+            out[modes] = np.bincount(_dense_inverse_cdf(route, rng.random(n)),
+                                     minlength=modes.size)
+        return out
+
+    return draw
+
+
+def _dense_chain_draw(engine):
+    def draw(rng):
+        prefix, prob = (), 1.0
+        for _ in range(engine.n_modes):
+            joints = engine.conditional_joints(prefix, prob)
+            n = int(_dense_inverse_cdf(np.cumsum(joints)[:, None], rng.random(1))[0])
+            prefix, prob = prefix + (n,), float(joints[n])
+        return np.array(prefix)
+
+    return draw
+
+
+def _dense_fock_draw(circ, lat):
+    route = np.cumsum(np.abs(source_columns(circ)) ** 2, axis=0)
+    return lambda rng: np.bincount(_dense_inverse_cdf(route, rng.random(lat.n_sources)),
+                                   minlength=lat.n_modes)
+
+
+def _draw_pair(name):
+    """A sampler and its dense reference draw."""
+    if name == "chain":
+        _, sigma = _pure_sigma(1, 2, 2, 3, 0.5, 37)
+        engine = ChainRuleEngine(sigma, truncation_threshold(2, 0.5, 1e-6))
+        return engine, _dense_chain_draw(engine)
+    if name == "fock":
+        lat = build_lattice(2, 2, 3)
+        circ = sample_random_circuit(lat, 3, np.random.default_rng(38))
+        return DistinguishableFockSampler(source_columns(circ), lat), _dense_fock_draw(circ, lat)
+    if name == "block":
+        lat, r, policy = build_lattice(1, 2, 3), 1.0, truncation_threshold(2, 1.0, 1e-6)
+    else:  # one bright source: its laws run to the budget of 131,762 photons
+        lat, r, policy = build_lattice(1, 1, 4), 5.0, truncation_threshold(1, 5.0, 1e-6)
+        assert policy.n_total_max == 131_762
+    circ = sample_random_circuit(lat, 6, np.random.default_rng(35))
+    return BlockApproxSampler(circ, lat, r, policy), _dense_block_draws(circ, lat, r, policy)
+
+
+@pytest.mark.parametrize("name", ["block", "block-bright", "chain", "fock"])
+def test_samplers_draw_the_dense_reference_sequence(name):
+    # one generator shared by 200 calls: rng.random() must read the same
+    # double as rng.random(1)[0], or every later call would drift
+    sampler, reference = _draw_pair(name)
+    rng, ref_rng = np.random.default_rng(182), np.random.default_rng(182)
+    for _ in range(200):
+        assert np.array_equal(sampler.sample(rng), reference(ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ------------------------------------------------------------ single photon
