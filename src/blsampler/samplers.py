@@ -433,7 +433,7 @@ class BlockApproxSampler:
         self._blocks = []
         for b, modes in enumerate(lattice.sublattices):
             route = np.cumsum(np.abs(columns[modes, b]) ** 2)
-            q = min(route[-1], 1.0)  # rounding can push the share past one
+            q = min(float(route[-1]), 1.0)  # rounding can push the share past one
             law = _block_total_law(squeezing, q, policy.n_total_max)
             self._blocks.append((modes, np.cumsum(law), route))
 
@@ -452,7 +452,7 @@ def _block_total_law(squeezing: float, q: float, n_max: int) -> np.ndarray:
     ``2 P f' + P' f = 0`` gives ``2 c0 (n+1) a_{n+1} = -c1 (2n+1) a_n - 2 c2
     n a_{n-1}``, all terms non-negative.  ``c0`` is written as ``sech^2 r +
     t q (2-q)`` to stay positive when ``t`` rounds to one; ``q = 0`` is a
-    point mass at zero.
+    point mass at zero.  A float ``q`` keeps the loop off numpy scalars.
     """
     t = math.tanh(squeezing) ** 2
     c0 = _sech2(squeezing) + t * q * (2.0 - q)
