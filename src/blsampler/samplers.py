@@ -471,7 +471,7 @@ def _inverse_cdf(cdf: np.ndarray, u: float | np.ndarray):
     """Index of each uniform ``u`` (a float or an array) over the nondecreasing
     cumulative weights ``cdf``: one binary search, ``O(log len(cdf))``, counts the
     entries ``<= u * cdf[-1]``, leaving out the last so the index stays in range."""
-    return np.searchsorted(cdf[:-1], u * cdf[-1], side="right")
+    return cdf[:-1].searchsorted(u * cdf[-1], side="right")  # the method skips np's dispatch
 
 
 class DistinguishableFockSampler:
