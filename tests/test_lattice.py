@@ -378,6 +378,26 @@ def test_circuit_json_bytes_are_pinned(args, digest):
     assert circuit_to_json(circuit_from_json(text)) == text
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((1, 2, 4, 5, 21), "0a0f88aadfc780770f0455569b87084ea1fd0abdd30e3cfb63db5682b0ee0c3d"),
+        ((2, 4, 3, 6, 22), "9b105d2c06b27db4fbfa892991e1d4fcd57a7da15ce7e946413ef2026d6f93aa"),
+        ((3, 2, 3, 7, 23), "9066d0020ed5ea309a83ce994d1d8dd23cd6ec3f2ee49d57efce206cc42c2497"),
+    ],
+    ids=["d1", "d2", "d3"],
+)
+def test_circuit_stream_bytes_are_pinned(args, digest):
+    # pins the brickwork pair order and the angle stream: each layer's
+    # intp pairs, then its float64 (theta, phi) rows
+    circ = _seeded_circuit(*args)
+    h = hashlib.sha256()
+    for pairs, angles in zip(circ.pairs, circ.angles):
+        h.update(pairs.tobytes())
+        h.update(angles.tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_light_cone_width_grows_one_site_per_layer():
     # a column's support after D layers spans at most 1 + D sites each way
     lat = build_lattice(1, 1, 16)
