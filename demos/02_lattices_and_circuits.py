@@ -14,7 +14,6 @@ from blsampler import (
     accumulate_unitary,
     brickwork_pairs,
     build_lattice,
-    circuit_to_json,
     leakage_bound,
     leakage_rate,
     sample_random_circuit,
@@ -53,9 +52,3 @@ for depth in (2, 3, 4, 6):
         f"diffusive bound 2 exp(-L^2/8D) = {leakage_bound(1, 4, depth):.3f}"
     )
 print("(depth 2 is exactly zero: the cone has not crossed a block edge yet)")
-
-print()
-print("== circuits serialize to JSON ==")
-circ = sample_random_circuit(lat, 1, np.random.default_rng(0))
-text = circuit_to_json(circ)
-print(text[:160] + " ...")

@@ -36,7 +36,7 @@ policy = truncation_threshold(2, 0.5, epsilon=1e-6)
 report = None
 while report is None or not report["small_x_valid"]:
     circuit = sample_random_circuit(lat, 3, rng)
-    report = theorem_bound_report(circuit, lat, 0.5, policy=policy)
+    report = theorem_bound_report(circuit, 0.5, policy=policy)
 
 print(f"depth {report['depth']} on {report['n_modes']} modes, r = 0.5")
 print(f"measured leakage eta_max      : {report['eta_max']:.3e}")

@@ -350,9 +350,7 @@ def _run_bounds(config: dict) -> str:
     reports = []
     for index in range(config["n_samples"]):
         circuit = sample_random_circuit(lattice, config["depth"], rng)
-        report = theorem_bound_report(
-            circuit, lattice, config["squeezing"], policy=policy
-        )
+        report = theorem_bound_report(circuit, config["squeezing"], policy=policy)
         reports.append({"instance": index, **report})
     write_json(config["out"], {"config": _embedded(config), "reports": reports})
     return f"evaluated {len(reports)} instances -> {config['out']}"

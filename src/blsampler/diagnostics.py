@@ -11,9 +11,9 @@ checked against ground truth:
   photon); both run a shared dynamic program that streams the outcome
   prefixes one photon total at a time, each total's coefficients stacked
   in one block so every transition is a vectorized gather, and folds the
-  final mode against precomputed adjoint weights.  States with more than
-  ``LOW_RANK_COLUMN_CAP`` effective squeezed modes fall back to the
-  reference hafnian at brute-force scale.
+  final mode against precomputed adjoint weights.  A factor wider than
+  ``LOW_RANK_COLUMN_CAP`` columns is refused; no reference-hafnian
+  fallback exists.
 * :func:`enumerate_fock_distribution` — exact single-photon-input
   distribution via permanents (interference included).
 * :func:`enumerate_distinguishable_distribution` — the same outcomes
@@ -62,7 +62,7 @@ from .lattice import (
     _source_cols,
     brickwork_pairs,
 )
-from .samplers import TruncationPolicy, _logdet_q, _outcome_prob
+from .samplers import TruncationPolicy, _logdet_q
 
 __all__ = [
     "Distribution",
@@ -89,8 +89,6 @@ logger = logging.getLogger(__name__)
 
 FOCK_ORACLE_MAX_SOURCES = 6
 FOCK_ORACLE_MAX_MODES = 12
-GBS_BRUTE_MAX_MODES = 6
-GBS_BRUTE_MAX_TOTAL = 8
 # Cap on the enumeration DP's stacked coefficients, counted as if every
 # prefix level were held whole.  The DP streams its levels, so the count
 # is conservative, most of all by the last prefix level it never holds.
@@ -410,10 +408,8 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
     conjugate off-blocks — the pure-state signature) enumerates through
     the M x M block with one form per photon and squared-magnitude
     hafnians; otherwise the full matrix is factored (two forms per
-    photon).  Factor ranks above ``LOW_RANK_COLUMN_CAP`` fall back to
-    ``samplers._outcome_prob`` on the full factor (the reference hafnian),
-    capped at ``GBS_BRUTE_MAX_MODES`` modes and ``GBS_BRUTE_MAX_TOTAL``
-    photons.
+    photon).  A factor of more than ``LOW_RANK_COLUMN_CAP`` columns raises
+    :class:`SizeCapError` right after that one factorization.
     """
     m = sigma.n_modes
     budget = int(policy.n_total_max)
@@ -426,28 +422,21 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
     if factor.shape[1] == 0:
         # vacuum, or rounding noise below the factor tolerance
         return Distribution(np.zeros((1, m), dtype=np.int16), np.array([norm]))
-    if factor.shape[1] <= LOW_RANK_COLUMN_CAP:
-        _dp_guard(m, budget, 1 if pure else 2, factor.shape[1])
-        return _dp_enumerate(
-            [[factor[j]] if pure else [factor[j], factor[m + j]] for j in range(m)],
-            factor.shape[1],
-            budget,
-            "abs2" if pure else "real",
-            norm,
-        )
-    if m > GBS_BRUTE_MAX_MODES or budget > GBS_BRUTE_MAX_TOTAL:
+    if factor.shape[1] > LOW_RANK_COLUMN_CAP:
         # a pure A is the block and its conjugate: twice the block's rank
         raise SizeCapError(
-            f"state rank {factor.shape[1] * (2 if pure else 1)} needs the "
-            f"reference hafnian, which is capped at {GBS_BRUTE_MAX_MODES} "
-            f"modes / {GBS_BRUTE_MAX_TOTAL} photons (got {m} modes, budget "
-            f"{budget})"
+            f"state rank {factor.shape[1] * (2 if pure else 1)} needs a factor "
+            f"of {factor.shape[1]} columns; the enumeration takes at most "
+            f"{LOW_RANK_COLUMN_CAP}"
         )
-    if pure:
-        factor = takagi_factor(a)  # the reference route reads rows j, M + j
-    rows = np.concatenate([_moments._compositions(t, m) for t in range(budget + 1)])
-    probs = [_outcome_prob(factor, norm, comp) for comp in rows]
-    return Distribution(rows.astype(np.int16), np.array(probs))
+    _dp_guard(m, budget, 1 if pure else 2, factor.shape[1])
+    return _dp_enumerate(
+        [[factor[j]] if pure else [factor[j], factor[m + j]] for j in range(m)],
+        factor.shape[1],
+        budget,
+        "abs2" if pure else "real",
+        norm,
+    )
 
 
 def enumerate_fock_distribution(unitary: np.ndarray, lattice: LatticeSpec) -> Distribution:
@@ -502,10 +491,6 @@ class LeakageReport:
     per_source_eta: tuple[float, ...]
     eta_max: float
     bound: float | None
-    dim: int
-    edge: int
-    n_sources: int
-    depth: int | None
 
 
 def leakage_bound(dim: int, edge: int, depth: int) -> float:
@@ -527,15 +512,7 @@ def leakage_rate(
         float((np.abs(cols[out, b]) ** 2).sum()) for b, out in enumerate(outside)
     ]
     bound = None if depth is None else leakage_bound(lattice.dim, lattice.edge, depth)
-    return LeakageReport(
-        per_source_eta=tuple(etas),
-        eta_max=max(etas),
-        bound=bound,
-        dim=lattice.dim,
-        edge=lattice.edge,
-        n_sources=lattice.n_sources,
-        depth=depth,
-    )
+    return LeakageReport(per_source_eta=tuple(etas), eta_max=max(etas), bound=bound)
 
 
 @dataclass(frozen=True)
@@ -646,7 +623,6 @@ def fock_error_bound(
 
 def theorem_bound_report(
     circuit: Circuit,
-    lattice: LatticeSpec,
     squeezing: float,
     policy: TruncationPolicy,
     enumerate_modes_cap: int = 8,
@@ -660,10 +636,12 @@ def theorem_bound_report(
     leakage, infidelity bound, distance bound) on the measured
     quantities, and — when the instance is small enough — enumerates both
     distributions under ``policy`` to report the true table distance
-    alongside the bounds.  Enumeration budgets are clamped to ``enumerate_budget_cap``; the mass left outside the
-    clamped tables is charged to ``tvd_upper``, so the reported upper
-    bound stays rigorous.
+    alongside the bounds.  Enumeration budgets are clamped to
+    ``enumerate_budget_cap``; the mass left outside the clamped tables is
+    charged to ``tvd_upper``, so the reported upper bound stays rigorous.
+    The lattice is the circuit's own.
     """
+    lattice = circuit.lattice
     blocks = block_approx_covariance(circuit, lattice, squeezing)
     leak = leakage_rate(blocks.columns, lattice, circuit.depth)
     v_out = QuadCovariance(_squeezed_covariance(blocks.columns, squeezing))

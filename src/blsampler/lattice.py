@@ -29,7 +29,6 @@ entry equals what gate-by-gate application gives, bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,8 +45,6 @@ __all__ = [
     "beam_splitter_unitary",
     "accumulate_unitary",
     "source_columns",
-    "circuit_to_json",
-    "circuit_from_json",
 ]
 
 
@@ -209,7 +206,6 @@ class Circuit:
     lattice: LatticeSpec
     pairs: tuple[np.ndarray, ...]
     angles: tuple[np.ndarray, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         m = self.n_modes
@@ -361,51 +357,3 @@ def _mix_rows(u, i, j, c, es, fs) -> None:
     ri, rj = u[i], u[j]
     u[i] = c * ri + es * rj
     u[j] = fs * ri + c * rj
-
-
-def _fmt(x: float) -> str:
-    """Render a double with 17 significant digits (exact round trip)."""
-    return format(float(x), ".17g")
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    """Serialize a circuit to JSON with exact angle round trip.
-
-    Gates are ``[i, j, theta, phi]``, angles printed with 17 significant
-    digits so that parsing the output reproduces the exact IEEE-754 doubles.
-    """
-    lat = circuit.lattice
-    gate_strs = []
-    for pairs, angles in zip(circuit.pairs, circuit.angles):
-        parts = [
-            f"[{i},{j},{_fmt(t)},{_fmt(p)}]"
-            for (i, j), (t, p) in zip(pairs.tolist(), angles.tolist())
-        ]
-        gate_strs.append("[" + ",".join(parts) + "]")
-    seed = "null" if circuit.seed is None else str(int(circuit.seed))
-    return (
-        '{"format":"bls-circuit","version":1,'
-        f'"dim":{lat.dim},"n_sources":{lat.n_sources},"edge":{lat.edge},'
-        f'"depth":{circuit.depth},"seed":{seed},'
-        '"layers":[' + ",".join(gate_strs) + "]}"
-    )
-
-
-def circuit_from_json(text: str) -> Circuit:
-    """Parse :func:`circuit_to_json` output back into a checked circuit."""
-    doc = json.loads(text)
-    if doc.get("format") != "bls-circuit":
-        raise MalformedCircuitError(f"unrecognized circuit format: {doc.get('format')!r}")
-    lattice = build_lattice(doc["dim"], doc["n_sources"], doc["edge"])
-    layers = doc["layers"]
-    circuit = Circuit(
-        lattice,
-        [[gate[:2] for gate in layer] for layer in layers],
-        [[gate[2:] for gate in layer] for layer in layers],
-        seed=doc.get("seed"),
-    )
-    if circuit.depth != doc["depth"]:
-        raise MalformedCircuitError(
-            f"depth field {doc['depth']} != {circuit.depth} layers present"
-        )
-    return circuit

@@ -25,8 +25,7 @@ Every Gaussian probability takes one route: :func:`_hafnian_factor` gives
 a state's thin factor ``G`` (``G G^T = A``) and normalization, and one
 generator, :func:`_sweep`, reads ``P(prefix, n)`` for ``n = 0, 1, ...``
 off the rows ``j, M + j`` of ``G``.  The engine takes whole sweeps;
-:func:`_outcome_prob` (behind :func:`marginal_prob` and the enumeration
-oracle) takes one entry of one.
+:func:`marginal_prob`, the pointwise oracle, takes one entry of one.
 
 Distributions are truncated by a :class:`TruncationPolicy` and
 renormalized over the allowed window.  Inside a window the chain-rule
@@ -276,26 +275,13 @@ def _sweep(prefix: tuple[int, ...], factor: np.ndarray, norm: float):
         yield max(haf, 0.0) * norm / (pfact * fact)
 
 
-def _outcome_prob(factor: np.ndarray, norm: float, counts) -> float:
-    """Probability of ``counts``: entry ``counts[-1]`` of the sweep over the
-    last mode after the prefix ``counts[:-1]``."""
-    counts = tuple(int(c) for c in counts)
-    sweep = _sweep(counts[:-1], factor, norm)
-    p = next(itertools.islice(sweep, counts[-1], None), 0.0)
-    if p is None:
-        raise SizeCapError(
-            f"outcome of {sum(counts)} photons needs a hafnian of dimension "
-            f"{2 * sum(counts)} > {HAFNIAN_DIM_CAP} on a rank-{factor.shape[1]} state"
-        )
-    return p
-
-
 def marginal_prob(sigma: ComplexCovariance, counts) -> float:
     """Probability of the outcome ``counts`` on the state ``sigma``.
 
     ``sigma`` must already be reduced to exactly the modes that
-    ``counts`` describes; the value is :func:`_outcome_prob` on the
-    state's hafnian factor.
+    ``counts`` describes; the value is entry ``counts[-1]`` of the sweep
+    over the last mode after the prefix ``counts[:-1]``, on the state's
+    hafnian factor.
     """
     counts = np.asarray(counts, dtype=int)
     if counts.ndim != 1 or counts.shape[0] != sigma.n_modes:
@@ -304,7 +290,15 @@ def marginal_prob(sigma: ComplexCovariance, counts) -> float:
         )
     if (counts < 0).any():
         raise ValueError("counts must be non-negative")
-    return _outcome_prob(*_hafnian_factor(sigma), counts)
+    factor, norm = _hafnian_factor(sigma)
+    counts = tuple(counts.tolist())
+    p = next(itertools.islice(_sweep(counts[:-1], factor, norm), counts[-1], None), 0.0)
+    if p is None:
+        raise SizeCapError(
+            f"outcome of {sum(counts)} photons needs a hafnian of dimension "
+            f"{2 * sum(counts)} > {HAFNIAN_DIM_CAP} on a rank-{factor.shape[1]} state"
+        )
+    return p
 
 
 class ChainRuleEngine:
@@ -441,8 +435,9 @@ class BlockApproxSampler:
         out = np.zeros(self.lattice.n_modes, dtype=int)
         for modes, law, route in self._blocks:
             n = int(_inverse_cdf(law, rng.random()))
-            landed = _inverse_cdf(route, rng.random(n))
-            out[modes] = np.bincount(landed, minlength=modes.size)
+            if n:  # rng.random(0) consumes no state: skipping it keeps the stream
+                landed = _inverse_cdf(route, rng.random(n))
+                out[modes] = np.bincount(landed, minlength=modes.size)
         return out
 
 

@@ -629,6 +629,21 @@ def test_exact_budget_past_the_moment_tables_is_refused(tmp_path, capsys):
     assert config["n_total_max"] == 124
 
 
+def test_bounds_past_the_enumeration_rank_is_refused(tmp_path, capsys):
+    # five one-mode blocks: the pure state has rank 10, past the four factor
+    # columns the enumeration takes; epsilon 0.8 keeps the budget small
+    # enough that this config once ran a reference hafnian per outcome
+    out = tmp_path / "bounds.json"
+    argv = ["--mode", "diagnose-bounds", "--dim", "1", "--sources", "5",
+            "--sublattice-edge", "1", "--depth", "2", "--squeezing", "1.45",
+            "--epsilon", "0.8", "--samples", "1", "--out", str(out)]
+    assert main(argv) == 3
+    err = _stderr_json(capsys)
+    assert err["error"] == "size-cap"
+    assert "state rank 10 " in err["message"]
+    assert not out.exists()
+
+
 def test_walk_with_one_trial_is_refused_before_any_work(tmp_path):
     # one trial has no stderr: it once wrote NaN cells, and numpy's
     # RuntimeWarnings reached stderr as plain text

@@ -346,23 +346,10 @@ def test_enumerate_mass_matches_truncation_guarantee():
     assert dist.mass <= 1.0 + 1e-9
 
 
-def test_enumerate_high_rank_uses_reference_hafnian():
-    # five independent squeezers exceed the thin-factor rank cap, so the
-    # enumeration must fall back to the reference hafnian; at depth 0 the
-    # modes are independent and the answer is a product of closed forms
-    lat = build_lattice(1, 5, 1)
-    circ = sample_random_circuit(lat, 0, np.random.default_rng(15))
-    sigma = quad_to_complex(state_covariance(circ, lat, 0.4))
-    policy = TruncationPolicy(epsilon=1e-6, n_total_max=4)
-    dist = enumerate_gbs_distribution(sigma, policy)
-    for comp, prob in zip(dist.counts, dist.probs):
-        expected = math.prod(_single_mode_prob(int(n), 0.4) for n in comp)
-        assert prob == pytest.approx(expected, abs=1e-12)
-
-
 def test_enumerate_high_rank_caps(monkeypatch):
-    # both refusals come after the M x M block's factor alone: the full
-    # 2M x 2M factorization is only for enumerations that go ahead
+    # a factor wider than LOW_RANK_COLUMN_CAP is refused after the M x M
+    # block's factorization alone, whatever the budget: the full 2M x 2M
+    # matrix is never factored
     shapes = []
     real_takagi = blsampler.diagnostics.takagi_factor
 
@@ -371,18 +358,14 @@ def test_enumerate_high_rank_caps(monkeypatch):
         return real_takagi(a)
 
     monkeypatch.setattr(blsampler.diagnostics, "takagi_factor", counted)
-    lat = build_lattice(1, 5, 1)
-    circ = sample_random_circuit(lat, 0, np.random.default_rng(16))
-    sigma = quad_to_complex(state_covariance(circ, lat, 0.4))
-    with pytest.raises(SizeCapError, match="state rank 10 "):
-        enumerate_gbs_distribution(sigma, TruncationPolicy(1e-6, 10))
-    assert shapes == [(5, 5)]
-    lat7 = build_lattice(1, 7, 1)
-    circ7 = sample_random_circuit(lat7, 0, np.random.default_rng(17))
-    sigma7 = quad_to_complex(state_covariance(circ7, lat7, 0.4))
-    with pytest.raises(SizeCapError, match="state rank 14 "):
-        enumerate_gbs_distribution(sigma7, TruncationPolicy(1e-6, 4))
-    assert shapes == [(5, 5), (7, 7)]
+    for n_sources, budget, seed in [(5, 4, 15), (5, 10, 16), (7, 4, 17)]:
+        lat = build_lattice(1, n_sources, 1)
+        circ = sample_random_circuit(lat, 0, np.random.default_rng(seed))
+        sigma = quad_to_complex(state_covariance(circ, lat, 0.4))
+        shapes.clear()
+        with pytest.raises(SizeCapError, match=f"state rank {2 * n_sources} "):
+            enumerate_gbs_distribution(sigma, TruncationPolicy(1e-6, budget))
+        assert shapes == [(n_sources, n_sources)]
 
 
 def test_enumerate_guard_rejects_oversized_tables():
@@ -704,7 +687,7 @@ def test_theorem_bound_report_runs_full_chain(monkeypatch):
         return tvd(d1, d2)
 
     monkeypatch.setattr("blsampler.diagnostics.tvd", counted_tvd)
-    report = theorem_bound_report(circ, lat, 0.5, policy=policy)
+    report = theorem_bound_report(circ, 0.5, policy=policy)
     assert len(calls) == 1
     # the report's tables, rebuilt: both distances are the public ones, bit for bit
     budget = min(policy.n_total_max, 16)
@@ -748,9 +731,7 @@ def test_theorem_bound_report_skips_enumeration_when_large():
     lat = build_lattice(1, 2, 4)
     circ = sample_random_circuit(lat, 2, np.random.default_rng(28))
     policy = truncation_threshold(2, 0.5, epsilon=1e-6)
-    report = theorem_bound_report(
-        circ, lat, 0.5, policy=policy, enumerate_modes_cap=4
-    )
+    report = theorem_bound_report(circ, 0.5, policy=policy, enumerate_modes_cap=4)
     assert "tvd_table" not in report
     assert "x_measured" in report
 
@@ -822,7 +803,7 @@ def test_theorem_bound_report_replays_the_circuit_once(
         return apply_gates(circuit, u)
 
     monkeypatch.setattr("blsampler.lattice._apply_gates", counted)
-    report = theorem_bound_report(circ, lat, 0.5, policy=policy)
+    report = theorem_bound_report(circ, 0.5, policy=policy)
     assert replays == [(lat.n_modes, lat.n_sources)]
     assert report == want
 

@@ -1,7 +1,6 @@
 """Lattice geometry, brickwork layering, circuits, unitary accumulation."""
 
 import hashlib
-import json
 import math
 import tracemalloc
 
@@ -15,8 +14,6 @@ from blsampler import (
     beam_splitter_unitary,
     brickwork_pairs,
     build_lattice,
-    circuit_from_json,
-    circuit_to_json,
     sample_random_circuit,
     source_columns,
 )
@@ -149,8 +146,9 @@ def test_sample_random_circuit_is_seed_deterministic():
     lat = build_lattice(1, 2, 4)
     c1 = sample_random_circuit(lat, 3, np.random.default_rng(5))
     c2 = sample_random_circuit(lat, 3, np.random.default_rng(5))
-    assert circuit_to_json(c1) == circuit_to_json(c2)
-    assert c1.depth == 3
+    for a, b in zip(c1.pairs + c1.angles, c2.pairs + c2.angles):
+        assert np.array_equal(a, b)
+    assert c1.depth == c2.depth == 3
 
 
 def test_depth_zero_circuit_is_identity():
@@ -350,32 +348,6 @@ def test_circuit_arrays_are_read_only():
     assert hand.angles[0][0, 0] == 0.1
     with pytest.raises(AttributeError):
         hand.pairs = ()
-
-
-def test_circuit_json_round_trip():
-    lat = build_lattice(1, 2, 2)
-    circ = sample_random_circuit(lat, 4, np.random.default_rng(3))
-    text = circuit_to_json(circ)
-    back = circuit_from_json(text)
-    assert back.depth == circ.depth
-    assert np.allclose(accumulate_unitary(back), accumulate_unitary(circ))
-    json.loads(text)  # artifact is plain JSON
-
-
-@pytest.mark.parametrize(
-    "args, digest",
-    [
-        ((1, 2, 4, 5, 21), "00c3e29e42cf9db804625cf8a72d0224eb5efea894bf9e425f3444d94ab18964"),
-        ((2, 4, 3, 6, 22), "81ab293b86166699ce2848eaeb39660ac9a37805a66c4bce405a3d8e35168944"),
-        ((3, 2, 3, 7, 23), "803746d412c351b951998273bf2337721631ed910bb002140375259e30e6dcd3"),
-    ],
-    ids=["d1", "d2", "d3"],
-)
-def test_circuit_json_bytes_are_pinned(args, digest):
-    # pins the brickwork pair order, the angle stream and the text format
-    text = circuit_to_json(_seeded_circuit(*args))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert circuit_to_json(circuit_from_json(text)) == text
 
 
 @pytest.mark.parametrize(
