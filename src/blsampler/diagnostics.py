@@ -24,7 +24,9 @@ probabilities); threshold clicks are an output format of the CLI, not a
 table kind.  Truncated tables carry mass below one; the
 ``tvd_upper_bound`` helper turns a table comparison into a rigorous
 upper bound on the true total-variation distance by charging each
-table's missing tail in full.
+table's missing tail in full.  Sums over table rows add the nonzero
+terms in ascending order, so row order cannot move their bits, and
+:func:`theorem_bound_report` scores the block product on the exact rows.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ DP_MAX_ELEMENTS = 3e8
 @dataclass(frozen=True)
 class Distribution:
     """Explicit photon-number table: one count row per outcome, plus
-    weights.  ``mass`` below one means the table was truncated.
+    weights.  ``mass``, their :func:`_canonical_sum`, is below one when
+    the table was truncated.
     """
 
     counts: np.ndarray
@@ -122,13 +125,19 @@ class Distribution:
 
     @property
     def mass(self) -> float:
-        return float(self.probs.sum())
+        return _canonical_sum(self.probs)
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return {
             tuple(int(c) for c in row): float(p)
             for row, p in zip(self.counts, self.probs)
         }
+
+
+def _canonical_sum(v: np.ndarray) -> float:
+    """Sum of the nonzero entries in ascending order: it depends only on
+    their multiset, so row order and zero rows cannot change its bits."""
+    return float(np.sort(v[v != 0]).sum())
 
 
 def _outcome_keys(d1: Distribution, d2: Distribution, base: int) -> np.ndarray:
@@ -152,8 +161,9 @@ def tvd(d1: Distribution, d2: Distribution) -> float:
     truncated tables this is a lower bound on the true distance (see
     :func:`tvd_upper_bound`).  Rows are packed into integer keys and the
     two tables are merged by one stable sort, so the cost is a sort of
-    ``n1 + n2`` keys; each outcome's difference is summed in ascending
-    key order.  Tables wider than 62 key bits compare through dicts.
+    ``n1 + n2`` keys, and the differences are summed by
+    :func:`_canonical_sum`, independent of row order.  Tables wider than
+    62 key bits compare through dicts.
     """
     if d1.n_modes != d2.n_modes:
         raise ValueError("outcome tables cover different mode counts")
@@ -170,7 +180,7 @@ def tvd(d1: Distribution, d2: Distribution) -> float:
         keys = keys[order]
         signed = np.concatenate([d1.probs, -d2.probs])[order]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        return float(0.5 * np.abs(np.add.reduceat(signed, starts)).sum())
+        return 0.5 * _canonical_sum(np.abs(np.add.reduceat(signed, starts)))
     t1, t2 = d1.as_dict(), d2.as_dict()
     total = 0.0
     for key in set(t1) | set(t2):
@@ -178,10 +188,10 @@ def tvd(d1: Distribution, d2: Distribution) -> float:
     return 0.5 * total
 
 
-def _tail_slop(d1: Distribution, d2: Distribution) -> float:
+def _tail_slop(mass1: float, mass2: float) -> float:
     """Half of each table's missing mass: the most the distance over
     outcomes outside the tables can add."""
-    return 0.5 * max(0.0, 1.0 - d1.mass) + 0.5 * max(0.0, 1.0 - d2.mass)
+    return 0.5 * max(0.0, 1.0 - mass1) + 0.5 * max(0.0, 1.0 - mass2)
 
 
 def tvd_upper_bound(d1: Distribution, d2: Distribution) -> float:
@@ -191,7 +201,7 @@ def tvd_upper_bound(d1: Distribution, d2: Distribution) -> float:
     outcomes outside a table is at most that table's missing mass; each
     tail is charged in full.
     """
-    return tvd(d1, d2) + _tail_slop(d1, d2)
+    return tvd(d1, d2) + _tail_slop(d1.mass, d2.mass)
 
 
 def empirical_distribution(samples) -> Distribution:
@@ -390,15 +400,8 @@ def _dp_enumerate(
             probs[pos : pos + n] = raw * norm / (prefix_fact * _FACT[c])
             pos += n
         del cblock, pblock  # dropped before the next block is built
-    dist = Distribution(counts, probs)
-    logger.debug(
-        "enumerated %d outcomes over %d modes (budget %d), mass %.6g",
-        dist.counts.shape[0],
-        m,
-        budget,
-        dist.mass,
-    )
-    return dist
+    logger.debug("enumerated %d outcomes over %d modes (budget %d)", n_out, m, budget)
+    return Distribution(counts, probs)
 
 
 def enumerate_gbs_distribution(sigma, policy) -> Distribution:
@@ -621,6 +624,34 @@ def fock_error_bound(
     )
 
 
+def _block_product_at(counts: np.ndarray, blocks, policy) -> np.ndarray:
+    """Block product probability of each row of ``counts`` (zero where a
+    block table, enumerated under ``policy``, lacks it), multiplied in
+    :func:`product_distribution`'s order, so with its bits.  Keys are base
+    ``n_total_max + 1``, looked up in a dense table no longer than
+    ``counts``, else by binary search."""
+    base, q = int(policy.n_total_max) + 1, np.ones(counts.shape[0])
+    for block, modes in zip(blocks.blocks, blocks.lattice.sublattices):
+        dist = enumerate_gbs_distribution(quad_to_complex(block), policy)
+        wide = len(modes) * math.log2(base) > 62  # keys past int64 stay Python ints
+        keys = np.zeros(dist.probs.shape[0], object if wide else np.int64)
+        want = np.zeros(counts.shape[0], keys.dtype)
+        for k in reversed(range(len(modes))):
+            keys = keys * base + dist.counts[:, k]
+            want *= base
+            want += counts[:, modes[k]]
+        if base ** len(modes) <= counts.shape[0]:
+            dense = np.zeros(base ** len(modes))
+            dense[keys] = dist.probs
+            q = q * dense[want]
+        else:
+            order = np.argsort(keys)
+            at = np.searchsorted(keys, want, sorter=order)
+            at = order[np.minimum(at, keys.size - 1)]
+            q = q * np.where(keys[at] == want, dist.probs[at], 0.0)
+    return q
+
+
 def theorem_bound_report(
     circuit: Circuit,
     squeezing: float,
@@ -634,12 +665,15 @@ def theorem_bound_report(
     leakage, the output covariance and the blocks.  Measures the leakage,
     evaluates each analytic link (covariance-difference bound from
     leakage, infidelity bound, distance bound) on the measured
-    quantities, and — when the instance is small enough — enumerates both
-    distributions under ``policy`` to report the true table distance
-    alongside the bounds.  Enumeration budgets are clamped to
-    ``enumerate_budget_cap``; the mass left outside the clamped tables is
-    charged to ``tvd_upper``, so the reported upper bound stays rigorous.
-    The lattice is the circuit's own.
+    quantities, and — when the instance is small enough — enumerates the
+    exact and block tables under ``policy`` to report the true table
+    distance alongside the bounds.  The block product is scored at the
+    exact rows, which hold every product row, and summed by
+    :func:`_canonical_sum`, so :func:`tvd` against the
+    :func:`product_distribution` table gives the same bits.  Enumeration
+    budgets are clamped to ``enumerate_budget_cap``; the mass left outside
+    the clamped tables is charged to ``tvd_upper``, so the reported upper
+    bound stays rigorous.  The lattice is the circuit's own.
     """
     lattice = circuit.lattice
     blocks = block_approx_covariance(circuit, lattice, squeezing)
@@ -669,20 +703,11 @@ def theorem_bound_report(
         budget = min(int(policy.n_total_max), enumerate_budget_cap)
         clamped = TruncationPolicy(policy.epsilon, budget)
         exact = enumerate_gbs_distribution(quad_to_complex(v_out), clamped)
-        block_dists = [
-            enumerate_gbs_distribution(quad_to_complex(block), clamped)
-            for block in blocks.blocks
-        ]
-        approx = product_distribution(
-            block_dists,
-            lattice.sublattices,
-            lattice.n_modes,
-            budget=budget,
-        )
-        report["exact_mass"] = exact.mass
-        report["approx_mass"] = approx.mass
-        report["tvd_table"] = tvd(exact, approx)
-        report["tvd_upper"] = report["tvd_table"] + _tail_slop(exact, approx)
+        q = _block_product_at(exact.counts, blocks, clamped)
+        masses = exact.mass, _canonical_sum(q)
+        report["exact_mass"], report["approx_mass"] = masses
+        report["tvd_table"] = 0.5 * _canonical_sum(np.abs(exact.probs - q))
+        report["tvd_upper"] = report["tvd_table"] + _tail_slop(*masses)
     return report
 
 

@@ -195,7 +195,10 @@ def block_approx_covariance(
     the block: ``V_alpha = I/2`` plus the rank-2 update of the block's
     rows of its own source column, as in the full state.  The
     source columns are kept on the result for samplers to reuse.
+    ``lattice`` must be the circuit's own.
     """
+    if lattice is not circuit.lattice:
+        raise ValueError("lattice is not the one the circuit was built on")
     columns = source_columns(circuit)
     blocks = tuple(
         QuadCovariance(_squeezed_covariance(columns[modes, b : b + 1], squeezing))

@@ -422,6 +422,8 @@ class BlockApproxSampler:
         policy: TruncationPolicy,
         blocks: BlockApproxCovariance | None = None,
     ):
+        if lattice is not circuit.lattice:
+            raise ValueError("lattice is not the one the circuit was built on")
         columns = source_columns(circuit) if blocks is None else blocks.columns
         self.lattice = lattice
         self._blocks = []

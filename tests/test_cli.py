@@ -269,11 +269,13 @@ def test_fock_sampler_conserves_photons(tmp_path):
             id="sample-exact",
         ),
         # pinned before the enumeration streamed its last prefix level:
-        # the bounds-small report must not move
+        # the bounds-small report must not move.  Re-pinned when the table
+        # sums became ascending sums of the nonzero terms, which moved
+        # only the last bits of exact_mass, tvd_table and tvd_upper
         pytest.param(
             "--mode diagnose-bounds --dim 1 --sources 2 --sublattice-edge 4 "
             "--depth 4 --squeezing 0.5 --samples 1 --seed 5",
-            "2f01639fde180ecbdb1abe7614627f80391fb111d54150f6198e478c03d1e559",
+            "6cde81b8249240a011266396951efcdaeb80e06b94e30e7c010d40e1ec18d272",
             id="diagnose-bounds",
         ),
         # pinned before the lattice geometry became arrays and the walk

@@ -218,7 +218,8 @@ def _reference_tvd(d1, d2):
     p2 = np.zeros(union.shape[0])
     p1[np.searchsorted(union, k1)] = d1.probs
     p2[np.searchsorted(union, k2)] = d2.probs
-    return float(0.5 * np.abs(p1 - p2).sum())
+    diffs = np.abs(p1 - p2)
+    return float(0.5 * np.sort(diffs[diffs != 0]).sum())  # nonzero, ascending
 
 
 def _random_table(rng, n_modes, top, n_rows, low=0):
@@ -277,6 +278,27 @@ def test_tvd_matches_union_reference_bit_for_bit(n_modes, top, n_rows):
     d2 = _random_table(rng, n_modes, top + 2, n_rows, low=top + 1)
     assert tvd(d1, d2) == _reference_tvd(d1, d2)
     assert tvd(d1, d2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_modes, top, n_rows", [(3, 3, 40), (5, 2, 150)])
+def test_tvd_and_mass_ignore_row_order_and_zero_rows(n_modes, top, n_rows):
+    rng = np.random.default_rng(100 + n_modes)
+    for _ in range(5):
+        d1 = _random_table(rng, n_modes, top, n_rows)
+        d2 = _random_table(rng, n_modes, top, n_rows)
+        # rows of the grid that d1 lacks, added to it with probability zero
+        grid = np.indices((top + 1,) * n_modes).reshape(n_modes, -1).T
+        keys = {tuple(r) for r in d1.counts.tolist()}
+        absent = np.array([r for r in grid.tolist() if tuple(r) not in keys][:25])
+        padded = Distribution(
+            np.vstack([d1.counts, absent]).astype(np.int16),
+            np.concatenate([d1.probs, np.zeros(absent.shape[0])]),
+        )
+        order = rng.permutation(padded.counts.shape[0])
+        moved = Distribution(padded.counts[order], padded.probs[order])
+        assert moved.mass == padded.mass == d1.mass
+        assert tvd(moved, d2) == tvd(padded, d2) == tvd(d1, d2)
+        assert tvd(d2, moved) == tvd(d2, d1)
 
 
 def test_tvd_wide_tables_take_the_dict_path():
@@ -676,34 +698,34 @@ def test_fock_error_closed_form_matches_two_source_expansion():
 # --------------------------------------------------------- chained report
 
 
-def test_theorem_bound_report_runs_full_chain(monkeypatch):
-    lat = build_lattice(1, 2, 4)
-    circ = sample_random_circuit(lat, 3, np.random.default_rng(27))
-    policy = truncation_threshold(2, 0.5, epsilon=1e-6)
-    calls = []
-
-    def counted_tvd(d1, d2):
-        calls.append(1)
-        return tvd(d1, d2)
-
-    monkeypatch.setattr("blsampler.diagnostics.tvd", counted_tvd)
-    report = theorem_bound_report(circ, 0.5, policy=policy)
-    assert len(calls) == 1
-    # the report's tables, rebuilt: both distances are the public ones, bit for bit
-    budget = min(policy.n_total_max, 16)
+def _report_tables(circ, squeezing, policy, budget_cap=16):
+    """The exact table and the block-product table the bound report scores,
+    built by the public functions."""
+    lat = circ.lattice
+    budget = min(policy.n_total_max, budget_cap)
     clamped = TruncationPolicy(policy.epsilon, budget)
     exact = enumerate_gbs_distribution(
-        quad_to_complex(state_covariance(circ, lat, 0.5)), clamped
+        quad_to_complex(state_covariance(circ, lat, squeezing)), clamped
     )
     approx = product_distribution(
         [
             enumerate_gbs_distribution(quad_to_complex(block), clamped)
-            for block in block_approx_covariance(circ, lat, 0.5).blocks
+            for block in block_approx_covariance(circ, lat, squeezing).blocks
         ],
         lat.sublattices,
         lat.n_modes,
         budget=budget,
     )
+    return exact, approx
+
+
+def test_theorem_bound_report_runs_full_chain():
+    lat = build_lattice(1, 2, 4)
+    circ = sample_random_circuit(lat, 3, np.random.default_rng(27))
+    policy = truncation_threshold(2, 0.5, epsilon=1e-6)
+    report = theorem_bound_report(circ, 0.5, policy=policy)
+    # the report's tables, rebuilt: both distances are the public ones, bit for bit
+    exact, approx = _report_tables(circ, 0.5, policy)
     assert report["tvd_table"] == tvd(exact, approx)
     assert report["tvd_upper"] == tvd_upper_bound(exact, approx)
     for key in (
@@ -725,6 +747,66 @@ def test_theorem_bound_report_runs_full_chain(monkeypatch):
     assert report["x_measured"] >= 0.0
     assert report["n_modes"] == 8
     assert report["depth"] == 3
+
+
+@pytest.mark.parametrize(
+    "dim, n_sources, edge, squeezing, budget_cap",
+    [
+        (1, 2, 4, 0.5, 16),  # bounds-small: dense key tables of 17^4 entries
+        (2, 2, 2, 0.5, 16),
+        (1, 4, 2, 0.5, 8),  # budget clamped to keep the rank-4 table small
+        (1, 1, 8, 0.5, 16),  # one block of 8 modes: 17^8 keys, binary search
+        (1, 2, 4, 0.0, 16),  # vacuum tables
+    ],
+    ids=["d1", "d2", "n4", "one-block", "vacuum"],
+)
+def test_theorem_bound_report_matches_the_product_table_bit_for_bit(
+    dim, n_sources, edge, squeezing, budget_cap
+):
+    lat = build_lattice(dim, n_sources, edge)
+    circ = sample_random_circuit(lat, 3, np.random.default_rng(31))
+    policy = truncation_threshold(n_sources, squeezing, epsilon=1e-6)
+    report = theorem_bound_report(
+        circ, squeezing, policy=policy, enumerate_budget_cap=budget_cap
+    )
+    exact, approx = _report_tables(circ, squeezing, policy, budget_cap)
+    assert report["exact_mass"] == exact.mass
+    assert report["approx_mass"] == approx.mass
+    assert report["tvd_table"] == tvd(exact, approx)
+    assert report["tvd_upper"] == tvd_upper_bound(exact, approx)
+    # row by row: every product row is an exact row, and the pointwise
+    # product there is the table's probability, bit for bit
+    budget = min(policy.n_total_max, budget_cap)
+    q = blsampler.diagnostics._block_product_at(
+        exact.counts,
+        block_approx_covariance(circ, lat, squeezing),
+        TruncationPolicy(policy.epsilon, budget),
+    )
+    powers = (budget + 1) ** np.arange(lat.n_modes, dtype=np.int64)
+    exact_keys = exact.counts.astype(np.int64) @ powers
+    approx_keys = approx.counts.astype(np.int64) @ powers
+    order = np.argsort(exact_keys)
+    at = np.searchsorted(exact_keys, approx_keys, sorter=order)
+    at = order[np.minimum(at, order.size - 1)]
+    np.testing.assert_array_equal(exact_keys[at], approx_keys)
+    expected = np.zeros(exact.probs.shape[0])
+    expected[at] = approx.probs
+    np.testing.assert_array_equal(q, expected)
+
+
+def test_theorem_bound_report_keys_wide_blocks_exactly():
+    # blocks of 32 modes at budget 3 need 64 key bits: the keys stay
+    # Python ints, and the product table compares through tvd's dicts
+    lat = build_lattice(1, 2, 32)
+    circ = sample_random_circuit(lat, 24, np.random.default_rng(32))
+    policy = truncation_threshold(2, 0.5, epsilon=1e-6)
+    report = theorem_bound_report(
+        circ, 0.5, policy=policy, enumerate_modes_cap=64, enumerate_budget_cap=3
+    )
+    exact, approx = _report_tables(circ, 0.5, policy, budget_cap=3)
+    assert report["approx_mass"] == approx.mass
+    assert report["tvd_table"] > 0.0
+    assert report["tvd_table"] == pytest.approx(tvd(exact, approx), rel=1e-12)
 
 
 def test_theorem_bound_report_skips_enumeration_when_large():

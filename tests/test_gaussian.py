@@ -223,6 +223,15 @@ def test_block_approx_in_cone_is_exact():
     assert frobenius_diff(exact, approx) < 1e-12
 
 
+def test_block_approx_refuses_a_lattice_the_circuit_was_not_built_on():
+    # same mode count, other blocks; then an equal but separate lattice
+    circ = sample_random_circuit(build_lattice(1, 2, 4), 3, np.random.default_rng(21))
+    for other in (build_lattice(1, 4, 2), build_lattice(1, 2, 4)):
+        with pytest.raises(ValueError, match="lattice"):
+            block_approx_covariance(circ, other, 0.5)
+    assert len(block_approx_covariance(circ, circ.lattice, 0.5).blocks) == 2
+
+
 def test_block_approx_is_block_diagonal():
     lat = build_lattice(1, 2, 4)
     circ = sample_random_circuit(lat, 5, np.random.default_rng(22))

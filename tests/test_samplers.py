@@ -407,6 +407,18 @@ def test_block_sampler_covers_all_modes():
     assert (counts >= 0).all()
 
 
+def test_block_sampler_refuses_a_lattice_the_circuit_was_not_built_on():
+    # same mode count, other blocks; then an equal but separate lattice
+    circ = sample_random_circuit(build_lattice(1, 2, 4), 3, np.random.default_rng(34))
+    policy = truncation_threshold(2, 0.5, 1e-6)
+    for other in (build_lattice(1, 4, 2), build_lattice(1, 2, 4)):
+        with pytest.raises(ValueError, match="lattice"):
+            BlockApproxSampler(circ, other, 0.5, policy)
+    assert BlockApproxSampler(circ, circ.lattice, 0.5, policy).sample(
+        np.random.default_rng(1)
+    ).shape == (8,)
+
+
 def test_block_sampler_reuses_block_covariance_columns():
     lat = build_lattice(1, 2, 3)
     circ = sample_random_circuit(lat, 6, np.random.default_rng(35))
