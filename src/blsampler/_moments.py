@@ -7,7 +7,8 @@ of monomial coefficients weighted by ``prod_r (m_r - 1)!!`` over the
 all-even exponent vectors.  This module maintains, per variable count,
 degree-indexed tables that make (a) multiplying a homogeneous polynomial
 by a linear form and (b) extracting the Gaussian moment single
-vectorized steps.
+vectorized steps, and (c) builds the moment Gram matrix that pairs two
+polynomials' coefficients.
 
 Exponent vectors of degree ``g`` are kept in lexicographic order, the
 order :func:`_compositions` emits.  Adding ``e_r`` to every vector of
@@ -71,6 +72,7 @@ class MomentTables:
         self.n_vars = n_vars
         self._dst: list[tuple] = []  # per degree: rows of comp + e_r, per variable
         self._weights: list[np.ndarray] = []
+        self._exponents: dict[int, np.ndarray] = {}  # per degree, read by gram
         self._grow_lock = threading.Lock()
         self.ensure(0)
 
@@ -131,25 +133,6 @@ class MomentTables:
             out[..., dst] += form[r] * coeffs
         return out
 
-    def multiply_linear_adjoint(
-        self, w: np.ndarray, degree: int, form: np.ndarray
-    ) -> np.ndarray:
-        """Adjoint of :meth:`multiply_linear`: pulls a weight vector at
-        ``degree`` back to ``degree - 1`` so that
-        ``w . (poly * form) == adjoint(w) . poly``.  Each variable's ``dst``
-        lists every lower-degree row once, in order, so its pull-back is
-        one gather.
-        """
-        if degree < 1:
-            raise ValueError("adjoint needs degree >= 1")
-        self.ensure(degree)
-        out = np.zeros(self._weights[degree - 1].shape[0], dtype=complex)
-        for r, dst in enumerate(self._dst[degree]):
-            if form[r] == 0:
-                continue
-            out += form[r] * w[dst]
-        return out
-
     def weights(self, degree: int) -> np.ndarray:
         """Gaussian-moment weight vector for homogeneous ``degree`` (view)."""
         self.ensure(degree)
@@ -161,6 +144,24 @@ class MomentTables:
             return 0j
         self.ensure(degree)
         return complex(np.dot(coeffs, self._weights[degree]))
+
+    def gram(self, deg_u: int, deg_v: int) -> np.ndarray:
+        """Moment Gram matrix ``W[u, v] = E[z^(u+v)]`` over the exponent
+        vectors of degrees ``deg_u`` and ``deg_v``, in table order, so
+        ``E[p q] == p @ W @ q`` for homogeneous ``p`` and ``q``.  The
+        moment factors over variables: ``(k - 1)!!`` of each exponent sum
+        ``k``, zero when it is odd."""
+        self.ensure(deg_u + deg_v)
+        for g in (deg_u, deg_v):
+            if g not in self._exponents:
+                self._exponents[g] = _compositions(g, self.n_vars)
+        u, v = self._exponents[deg_u], self._exponents[deg_v]
+        one_var = np.zeros(deg_u + deg_v + 1)
+        one_var[::2] = _ODD_DFACT[: (deg_u + deg_v) // 2 + 1]
+        out = np.ones((u.shape[0], v.shape[0]))
+        for r in range(self.n_vars):
+            out *= one_var[u[:, r, None] + v[:, r]]
+        return out
 
 
 _TABLES: dict[int, MomentTables] = {}

@@ -8,10 +8,9 @@ checked against ground truth:
   Gaussian state.  Pure squeezed-input states use the thin symmetric
   factor of the M x M pure-state block (one linear form per photon);
   mixed states use the full 2M x 2M hafnian matrix (two forms per
-  photon); both run a shared dynamic program that streams the outcome
-  prefixes one photon total at a time, each total's coefficients stacked
-  in one block so every transition is a vectorized gather, and folds the
-  final mode against precomputed adjoint weights.  A factor wider than
+  photon); both tabulate the coefficients of each half of the modes per
+  photon total and join the halves through the moment Gram matrix, one
+  matrix product per pair of totals.  A factor wider than
   ``LOW_RANK_COLUMN_CAP`` columns is refused; no reference-hafnian
   fallback exists.
 * :func:`enumerate_fock_distribution` — exact single-photon-input
@@ -91,9 +90,10 @@ logger = logging.getLogger(__name__)
 
 FOCK_ORACLE_MAX_SOURCES = 6
 FOCK_ORACLE_MAX_MODES = 12
-# Cap on the enumeration DP's stacked coefficients, counted as if every
-# prefix level were held whole.  The DP streams its levels, so the count
-# is conservative, most of all by the last prefix level it never holds.
+# Cap on the enumeration's coefficients, counted as the table of every
+# outcome prefix over all modes but the last.  The join holds the tables
+# of two half-width prefixes instead, far fewer, so the count is
+# conservative.
 DP_MAX_ELEMENTS = 3e8
 
 
@@ -163,7 +163,7 @@ def tvd(d1: Distribution, d2: Distribution) -> float:
     two tables are merged by one stable sort, so the cost is a sort of
     ``n1 + n2`` keys, and the differences are summed by
     :func:`_canonical_sum`, independent of row order.  Tables wider than
-    62 key bits compare through dicts.
+    62 key bits compare through dicts, summed the same way.
     """
     if d1.n_modes != d2.n_modes:
         raise ValueError("outcome tables cover different mode counts")
@@ -182,10 +182,8 @@ def tvd(d1: Distribution, d2: Distribution) -> float:
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         return 0.5 * _canonical_sum(np.abs(np.add.reduceat(signed, starts)))
     t1, t2 = d1.as_dict(), d2.as_dict()
-    total = 0.0
-    for key in set(t1) | set(t2):
-        total += abs(t1.get(key, 0.0) - t2.get(key, 0.0))
-    return 0.5 * total
+    diffs = [abs(t1.get(k, 0.0) - t2.get(k, 0.0)) for k in set(t1) | set(t2)]
+    return 0.5 * _canonical_sum(np.array(diffs))
 
 
 def _tail_slop(mass1: float, mass2: float) -> float:
@@ -291,49 +289,32 @@ def _dp_guard(n_modes: int, budget: int, forms_per_photon: int, n_vars: int) -> 
         )
 
 
-def _with_count(pblock: np.ndarray, c: int) -> np.ndarray:
-    """``pblock`` with one more int16 column holding ``c``."""
-    out = np.empty((pblock.shape[0], pblock.shape[1] + 1), dtype=np.int16)
-    out[:, :-1] = pblock
-    out[:, -1] = c
-    return out
+def _half_table(mode_forms, tabs, ppp: int, budget: int):
+    """Coefficient and count rows of every outcome on ``mode_forms``' modes,
+    one block per photon total ``t <= budget`` (degree ``ppp * t``).
 
-
-def _next_level(level, forms, tabs, ppp: int, budget: int):
-    """Place one more mode: yield ``(total, coeffs, counts)`` for every
-    photon total of the next prefix level, in ascending order.
-
-    ``level`` yields the current level the same way; one of its blocks
-    is read per next total.  Each prefix total t starts one multiply chain
-    when its block arrives and advances it by one photon per next total;
-    a chain is dropped once it holds ``budget - t`` photons.  Next total
-    T stacks the chains of t = T, T-1, ... in ascending t, so only the
-    live chain heads and one stacked block are held at a time.
+    Total t's outcomes are total t-1's with one more photon in mode j,
+    taken from the rows whose lowest occupied mode is j or above, so each
+    outcome is built once.  Block j comes out with lowest mode j, so
+    those rows are always a tail of the previous block.
     """
-    heads: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
-    for total in itertools.count():
-        block = next(level, None)  # totals are contiguous from 0
-        if block is not None:
-            heads[total] = (block[1], ppp * total, block[2])
-        elif not heads:
-            return
-        pieces_c, pieces_p = [], []
-        for t, (cur, degree, pblock) in list(heads.items()):
-            c = total - t
-            if c > 0:
-                for f in forms:
-                    cur = tabs.multiply_linear(cur, degree, f)
-                    degree += 1
+    coeffs = [np.ones((1, 1), dtype=complex)]
+    counts = [np.zeros((1, len(mode_forms)), dtype=np.int16)]
+    starts = [0] * len(mode_forms)  # first row of each tail in the last block
+    for t in range(1, budget + 1 if mode_forms else 1):  # no mode: vacuum alone
+        pieces_c, pieces_n = [], []
+        for j, (forms, start) in enumerate(zip(mode_forms, starts)):
+            cur = coeffs[-1][start:]
+            for k, f in enumerate(forms):
+                cur = tabs.multiply_linear(cur, ppp * (t - 1) + k, f)
+            cnt = counts[-1][start:].copy()
+            cnt[:, j] += 1
             pieces_c.append(cur)
-            pieces_p.append(_with_count(pblock, c))
-            if c == budget - t:
-                del heads[t]
-            else:
-                heads[t] = (cur, degree, pblock)
-        coeffs, counts = np.concatenate(pieces_c), np.concatenate(pieces_p)
-        del pieces_c, pieces_p, cur, pblock  # the block alone stays alive
-        yield total, coeffs, counts
-        del coeffs, counts  # the next block is built without this one
+            pieces_n.append(cnt)
+        starts = [0, *itertools.accumulate(p.shape[0] for p in pieces_n[:-1])]
+        coeffs.append(np.concatenate(pieces_c))
+        counts.append(np.concatenate(pieces_n))
+    return coeffs, counts
 
 
 def _dp_enumerate(
@@ -348,58 +329,42 @@ def _dp_enumerate(
     ``mode_forms[j]`` lists the forms contributed by each photon in mode
     j (one for the pure path, two — row and conjugate row — for the
     general path).  Every outcome with at most ``budget`` photons in all
-    is enumerated; no mode has a cap of its own.  Prefix levels are keyed
-    by total photons placed and streamed one total at a time
-    (:func:`_next_level`): a total's block stacks every prefix's
-    coefficient vector, so a transition is one batched gather per form,
-    and no level is held whole.  The final mode is folded through
-    adjoint weight vectors instead of being expanded:
-    ``adj(t, c)`` pulls the degree-``t + c`` weights back over ``c``
-    photons of the final mode, one chain per top total ``T = t + c``,
-    computed once up front.  Each prefix block is folded against its
-    ``adj(t, c)`` in one matrix-vector product per ``c``, written at its
-    row position (totals ascending, then ``c``) and dropped.
+    is enumerated; no mode has a cap of its own.  The modes are split in
+    two halves, each tabled whole by :func:`_half_table`.  An outcome's
+    polynomial is a prefix polynomial times a suffix one, so the
+    amplitudes of all outcomes with ``a`` prefix and ``b`` suffix photons
+    are one product ``C_P[a] @ W @ C_S[b].T`` through the moment Gram
+    matrix ``W`` (:meth:`~blsampler._moments.MomentTables.gram`).  Pairs
+    of odd moment degree are exact zeros and skip the product.  Rows come
+    ordered by prefix total, suffix total, prefix row, suffix row.
     """
-    m = len(mode_forms)
-    ppp = len(mode_forms[0])
+    m, ppp = len(mode_forms), len(mode_forms[0])
+    h = m // 2
     tabs = _moments.tables(n_vars)
-    level = iter(
-        [(0, np.ones((1, 1), dtype=complex), np.zeros((1, 0), dtype=np.int16))]
-    )
-    rows = [1]  # rows[t]: prefixes of total t in the current level
-    for forms in mode_forms[:-1]:
-        level = _next_level(level, forms, tabs, ppp, budget)
-        rows = [sum(rows[: top + 1]) for top in range(budget + 1)]
-    last_forms = mode_forms[m - 1]
-    adj: dict[tuple[int, int], np.ndarray] = {}
-    for top in range(budget + 1):
-        w = tabs.weights(ppp * top).astype(complex)
-        degree = ppp * top
-        for c in range(top + 1):
-            if c > 0:
-                for f in last_forms:
-                    w = tabs.multiply_linear_adjoint(w, degree, f)
-                    degree -= 1
-            if top - c < len(rows):
-                adj[top - c, c] = w
-    n_out = sum(n * (budget - t + 1) for t, n in enumerate(rows))
+    pre_c, pre_n = _half_table(mode_forms[:h], tabs, ppp, budget)
+    suf_c, suf_n = _half_table(mode_forms[h:], tabs, ppp, budget)
+    pre_f = [_FACT[n].prod(axis=1) for n in pre_n]  # ones when no prefix mode
+    suf_f = [_FACT[n].prod(axis=1) for n in suf_n]
+    n_out = math.comb(budget + m, m)  # every outcome of at most budget photons
     counts = np.empty((n_out, m), dtype=np.int16)
     probs = np.empty(n_out)
     pos = 0
-    for t, cblock, pblock in level:
-        prefix_fact = _FACT[pblock].prod(axis=1)  # ones when no prefix mode
-        n = cblock.shape[0]
-        for c in range(budget - t + 1):
-            vals = cblock @ adj.pop((t, c))
-            if value == "abs2":
-                raw = np.abs(vals) ** 2
+    for a, (c_p, n_p) in enumerate(zip(pre_c, pre_n)):
+        for b, (c_s, n_s) in enumerate(zip(suf_c[: budget - a + 1], suf_n)):
+            end = pos + n_p.shape[0] * n_s.shape[0]
+            grid = counts[pos:end].reshape(n_p.shape[0], n_s.shape[0], m)
+            grid[:, :, :h] = n_p[:, None]
+            grid[:, :, h:] = n_s
+            if ppp * (a + b) % 2:
+                probs[pos:end] = 0.0
             else:
-                raw = np.maximum(vals.real, 0.0)
-            counts[pos : pos + n, :-1] = pblock
-            counts[pos : pos + n, -1] = c
-            probs[pos : pos + n] = raw * norm / (prefix_fact * _FACT[c])
-            pos += n
-        del cblock, pblock  # dropped before the next block is built
+                vals = np.linalg.multi_dot([c_p, tabs.gram(ppp * a, ppp * b), c_s.T])
+                if value == "abs2":
+                    raw = np.abs(vals) ** 2
+                else:
+                    raw = np.maximum(vals.real, 0.0)
+                probs[pos:end] = (raw * norm / np.outer(pre_f[a], suf_f[b])).ravel()
+            pos = end
     logger.debug("enumerated %d outcomes over %d modes (budget %d)", n_out, m, budget)
     return Distribution(counts, probs)
 
@@ -412,7 +377,9 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
     the M x M block with one form per photon and squared-magnitude
     hafnians; otherwise the full matrix is factored (two forms per
     photon).  A factor of more than ``LOW_RANK_COLUMN_CAP`` columns raises
-    :class:`SizeCapError` right after that one factorization.
+    :class:`SizeCapError` right after that one factorization.  The table
+    holds every outcome within the budget once; its row order is not part
+    of the contract.
     """
     m = sigma.n_modes
     budget = int(policy.n_total_max)

@@ -1,4 +1,4 @@
-"""Moment-table internals: shift maps, weights, adjoint, thread growth."""
+"""Moment-table internals: shift maps, weights, Gram matrices, thread growth."""
 
 import math
 import threading
@@ -103,28 +103,6 @@ def test_multiply_linear_batched_equals_rowwise():
         assert np.allclose(out[row], tabs.multiply_linear(batch[row], degree, form))
 
 
-def test_adjoint_is_transpose_of_multiply():
-    rng = np.random.default_rng(13)
-    tabs = _moments.tables(3)
-    for degree in range(1, 6):
-        c = rng.normal(size=tabs.size(degree - 1)) + 1j * rng.normal(
-            size=tabs.size(degree - 1)
-        )
-        w = rng.normal(size=tabs.size(degree)) + 1j * rng.normal(
-            size=tabs.size(degree)
-        )
-        form = rng.normal(size=3) + 1j * rng.normal(size=3)
-        lhs = w @ tabs.multiply_linear(c, degree - 1, form)
-        rhs = tabs.multiply_linear_adjoint(w, degree, form) @ c
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_adjoint_degree_zero_rejected():
-    tabs = _moments.tables(2)
-    with pytest.raises(ValueError):
-        tabs.multiply_linear_adjoint(np.ones(1), 0, np.ones(2))
-
-
 def test_gaussian_moments_single_variable():
     tabs = _moments.MomentTables(1)
     # E[z^2] = 1, E[z^4] = 3, E[z^6] = 15; odd moments vanish
@@ -152,6 +130,36 @@ def test_moment_via_weights_accessor():
         assert tabs.moment(coeffs, degree) == pytest.approx(
             complex(tabs.weights(degree) @ coeffs)
         )
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
+def test_gram_holds_the_weight_of_each_exponent_sum(n_vars):
+    tabs = _moments.tables(n_vars)
+    for deg_u in range(6):
+        for deg_v in range(6):
+            u = _recursive_compositions(deg_u, n_vars)
+            v = _recursive_compositions(deg_v, n_vars)
+            sums = _recursive_compositions(deg_u + deg_v, n_vars)
+            row = {tuple(s): k for k, s in enumerate(sums.tolist())}
+            w = tabs.weights(deg_u + deg_v)
+            want = np.array(
+                [[w[row[tuple((a + b).tolist())]] for b in v] for a in u]
+            ).reshape(u.shape[0], v.shape[0])
+            assert np.array_equal(tabs.gram(deg_u, deg_v), want)
+
+
+def test_gram_pairs_two_polynomials_into_their_product_moment():
+    rng = np.random.default_rng(5)
+    tabs = _moments.tables(3)
+    forms = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    p, q = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
+    for degree, form in enumerate(forms[:4]):
+        p = tabs.multiply_linear(p, degree, form)
+    pq = p
+    for degree, form in enumerate(forms[4:], start=4):
+        q = tabs.multiply_linear(q, degree - 4, form)
+        pq = tabs.multiply_linear(pq, degree, form)
+    assert p @ tabs.gram(4, 2) @ q == pytest.approx(tabs.moment(pq, 6), rel=1e-12)
 
 
 def test_concurrent_table_growth_stays_consistent():
@@ -209,18 +217,6 @@ def _masked_multiply(n_vars, coeffs, degree, form):
     return out
 
 
-def _masked_adjoint(n_vars, w, degree, form):
-    maps = _masked_maps(n_vars, degree)
-    out = np.zeros(math.comb(degree - 1 + n_vars - 1, n_vars - 1), dtype=complex)
-    for r in range(n_vars):
-        if form[r] == 0:
-            continue
-        src = maps[r]
-        valid = src >= 0
-        out[src[valid]] += form[r] * w[valid]
-    return out
-
-
 def _kernel_forms(rng, n_vars):
     dense = rng.normal(size=n_vars) + 1j * rng.normal(size=n_vars)
     sparse = dense.copy()
@@ -245,18 +241,6 @@ def test_multiply_linear_is_bit_identical_to_masked_kernel(n_vars):
                 want = _masked_multiply(n_vars, coeffs, degree, form)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
-def test_multiply_linear_adjoint_is_bit_identical_to_masked_kernel(n_vars):
-    rng = np.random.default_rng(200 + n_vars)
-    tabs = _moments.tables(n_vars)
-    for degree in range(1, 11):
-        size = tabs.size(degree)
-        w = rng.normal(size=size) + 1j * rng.normal(size=size)
-        for form in _kernel_forms(rng, n_vars):
-            got = tabs.multiply_linear_adjoint(w, degree, form)
-            assert np.array_equal(got, _masked_adjoint(n_vars, w, degree, form))
 
 
 @pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
