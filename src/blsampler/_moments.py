@@ -7,8 +7,8 @@ of monomial coefficients weighted by ``prod_r (m_r - 1)!!`` over the
 all-even exponent vectors.  This module maintains, per variable count,
 degree-indexed tables that make (a) multiplying a homogeneous polynomial
 by a linear form and (b) extracting the Gaussian moment single
-vectorized steps, and (c) builds the moment Gram matrix that pairs two
-polynomials' coefficients.
+vectorized steps.  It also builds the moment Gram matrix, which pairs
+two polynomials' coefficients into the moment of their product.
 
 Exponent vectors of degree ``g`` are kept in lexicographic order, the
 order :func:`_compositions` emits.  Adding ``e_r`` to every vector of
