@@ -25,7 +25,7 @@ table kind.  Truncated tables carry mass below one; the
 upper bound on the true total-variation distance by charging each
 table's missing tail in full.  Sums over table rows add the nonzero
 terms in ascending order, so row order cannot move their bits, and
-:func:`theorem_bound_report` scores the block product on the exact rows.
+:func:`theorem_bound_report` scores the block product on the pair grids.
 """
 
 from __future__ import annotations
@@ -140,27 +140,13 @@ def _canonical_sum(v: np.ndarray) -> float:
     return float(np.sort(v[v != 0]).sum())
 
 
-def _outcome_keys(d1: Distribution, d2: Distribution, base: int) -> np.ndarray:
-    """Both tables' rows packed base-``base`` into one int64 key array,
-    ``d1``'s first; column k has weight ``base**k``.  Horner's rule over
-    the columns, last first, in one buffer: integer arithmetic, so exact
-    under :func:`tvd`'s 62-bit check."""
-    n1 = d1.counts.shape[0]
-    keys = np.zeros(n1 + d2.counts.shape[0], dtype=np.int64)
-    for k in reversed(range(d1.n_modes)):
-        keys *= base
-        keys[:n1] += d1.counts[:, k]
-        keys[n1:] += d2.counts[:, k]
-    return keys
-
-
 def tvd(d1: Distribution, d2: Distribution) -> float:
     """Total-variation distance between two outcome tables.
 
     Outcomes absent from one table count as probability zero there; for
     truncated tables this is a lower bound on the true distance (see
     :func:`tvd_upper_bound`).  Rows are packed into integer keys and the
-    two tables are merged by one stable sort, so the cost is a sort of
+    two tables are merged by one sort, so the cost is a sort of
     ``n1 + n2`` keys, and the differences are summed by
     :func:`_canonical_sum`, independent of row order.  Tables wider than
     62 key bits compare through dicts, summed the same way.
@@ -168,15 +154,19 @@ def tvd(d1: Distribution, d2: Distribution) -> float:
     if d1.n_modes != d2.n_modes:
         raise ValueError("outcome tables cover different mode counts")
     m = d1.n_modes
-    top = max(2, int(d1.counts.max(initial=0)), int(d2.counts.max(initial=0)))
-    base = top + 1
+    base = 1 + max(2, int(d1.counts.max(initial=0)), int(d2.counts.max(initial=0)))
     if m * math.log2(base) <= 62:
-        keys = _outcome_keys(d1, d2, base)
+        n1 = d1.probs.shape[0]
+        keys = np.zeros(n1 + d2.probs.shape[0], dtype=np.int64)
+        for k in reversed(range(m)):
+            keys *= base
+            keys[:n1] += d1.counts[:, k]
+            keys[n1:] += d2.counts[:, k]
         if keys.shape[0] == 0:
             return 0.0
-        # each key occurs at most once per table and the stable sort puts
-        # table 1's entry first, so a run sums to exactly p1 - p2
-        order = np.argsort(keys, kind="stable")
+        # each key occurs at most once per table, so 2·key + table (< 2^63)
+        # is unique and puts table 1's entry first: a run sums to p1 - p2
+        order = np.argsort(2 * keys + (np.arange(keys.shape[0]) >= n1))
         keys = keys[order]
         signed = np.concatenate([d1.probs, -d2.probs])[order]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
@@ -323,7 +313,7 @@ def _dp_enumerate(
     budget: int,
     value: str,
     norm: float,
-) -> Distribution:
+):
     """Shared enumeration engine over products of per-photon linear forms.
 
     ``mode_forms[j]`` lists the forms contributed by each photon in mode
@@ -334,9 +324,9 @@ def _dp_enumerate(
     polynomial is a prefix polynomial times a suffix one, so the
     amplitudes of all outcomes with ``a`` prefix and ``b`` suffix photons
     are one product ``C_P[a] @ W @ C_S[b].T`` through the moment Gram
-    matrix ``W`` (:meth:`~blsampler._moments.MomentTables.gram`).  Pairs
-    of odd moment degree are exact zeros and skip the product.  Rows come
-    ordered by prefix total, suffix total, prefix row, suffix row.
+    matrix ``W`` (:meth:`~blsampler._moments.MomentTables.gram`).  Yields
+    each pair's prefix count rows, suffix count rows and probability grid,
+    ``a``-major; odd moment degrees give exact zero grids, no product.
     """
     m, ppp = len(mode_forms), len(mode_forms[0])
     h = m // 2
@@ -345,28 +335,47 @@ def _dp_enumerate(
     suf_c, suf_n = _half_table(mode_forms[h:], tabs, ppp, budget)
     pre_f = [_FACT[n].prod(axis=1) for n in pre_n]  # ones when no prefix mode
     suf_f = [_FACT[n].prod(axis=1) for n in suf_n]
-    n_out = math.comb(budget + m, m)  # every outcome of at most budget photons
-    counts = np.empty((n_out, m), dtype=np.int16)
-    probs = np.empty(n_out)
-    pos = 0
     for a, (c_p, n_p) in enumerate(zip(pre_c, pre_n)):
         for b, (c_s, n_s) in enumerate(zip(suf_c[: budget - a + 1], suf_n)):
-            end = pos + n_p.shape[0] * n_s.shape[0]
-            grid = counts[pos:end].reshape(n_p.shape[0], n_s.shape[0], m)
-            grid[:, :, :h] = n_p[:, None]
-            grid[:, :, h:] = n_s
             if ppp * (a + b) % 2:
-                probs[pos:end] = 0.0
-            else:
-                vals = np.linalg.multi_dot([c_p, tabs.gram(ppp * a, ppp * b), c_s.T])
-                if value == "abs2":
-                    raw = np.abs(vals) ** 2
-                else:
-                    raw = np.maximum(vals.real, 0.0)
-                probs[pos:end] = (raw * norm / np.outer(pre_f[a], suf_f[b])).ravel()
-            pos = end
-    logger.debug("enumerated %d outcomes over %d modes (budget %d)", n_out, m, budget)
-    return Distribution(counts, probs)
+                yield n_p, n_s, np.zeros((n_p.shape[0], n_s.shape[0]))
+                continue
+            vals = np.linalg.multi_dot([c_p, tabs.gram(ppp * a, ppp * b), c_s.T])
+            raw = np.abs(vals) ** 2 if value == "abs2" else np.maximum(vals.real, 0.0)
+            yield n_p, n_s, raw * norm / np.outer(pre_f[a], suf_f[b])
+    logger.debug("enumerated %d modes within budget %d", m, budget)
+
+
+def _gbs_pieces(sigma, policy):
+    """:func:`enumerate_gbs_distribution`'s outcome count and pair grids
+    (one vacuum cell for an empty factor); refusals raise before any grid."""
+    m = sigma.n_modes
+    budget = int(policy.n_total_max)
+    a = a_matrix(sigma).matrix
+    norm = math.exp(-0.5 * _logdet_q(sigma.matrix))
+    scale = np.abs(a).max()
+    off = max(np.abs(a[:m, m:]).max(), np.abs(a[m:, :m]).max())
+    pure = off <= 1e-10 * max(1.0, scale)
+    factor = takagi_factor(a[:m, :m] if pure else a)
+    if factor.shape[1] == 0:
+        # vacuum, or rounding noise below the factor tolerance
+        vac = np.zeros((1, m), dtype=np.int16)
+        return 1, [(vac[:, : m // 2], vac[:, m // 2 :], np.array([[norm]]))]
+    if factor.shape[1] > LOW_RANK_COLUMN_CAP:
+        # a pure A is the block and its conjugate: twice the block's rank
+        raise SizeCapError(
+            f"state rank {factor.shape[1] * (2 if pure else 1)} needs a factor "
+            f"of {factor.shape[1]} columns; the enumeration takes at most "
+            f"{LOW_RANK_COLUMN_CAP}"
+        )
+    _dp_guard(m, budget, 1 if pure else 2, factor.shape[1])
+    return math.comb(budget + m, m), _dp_enumerate(
+        [[factor[j]] if pure else [factor[j], factor[m + j]] for j in range(m)],
+        factor.shape[1],
+        budget,
+        "abs2" if pure else "real",
+        norm,
+    )
 
 
 def enumerate_gbs_distribution(sigma, policy) -> Distribution:
@@ -381,32 +390,16 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
     holds every outcome within the budget once; its row order is not part
     of the contract.
     """
-    m = sigma.n_modes
-    budget = int(policy.n_total_max)
-    a = a_matrix(sigma).matrix
-    norm = math.exp(-0.5 * _logdet_q(sigma.matrix))
-    scale = np.abs(a).max()
-    off = max(np.abs(a[:m, m:]).max(), np.abs(a[m:, :m]).max())
-    pure = off <= 1e-10 * max(1.0, scale)
-    factor = takagi_factor(a[:m, :m] if pure else a)
-    if factor.shape[1] == 0:
-        # vacuum, or rounding noise below the factor tolerance
-        return Distribution(np.zeros((1, m), dtype=np.int16), np.array([norm]))
-    if factor.shape[1] > LOW_RANK_COLUMN_CAP:
-        # a pure A is the block and its conjugate: twice the block's rank
-        raise SizeCapError(
-            f"state rank {factor.shape[1] * (2 if pure else 1)} needs a factor "
-            f"of {factor.shape[1]} columns; the enumeration takes at most "
-            f"{LOW_RANK_COLUMN_CAP}"
-        )
-    _dp_guard(m, budget, 1 if pure else 2, factor.shape[1])
-    return _dp_enumerate(
-        [[factor[j]] if pure else [factor[j], factor[m + j]] for j in range(m)],
-        factor.shape[1],
-        budget,
-        "abs2" if pure else "real",
-        norm,
-    )
+    n_out, pieces = _gbs_pieces(sigma, policy)
+    counts, probs = np.empty((n_out, sigma.n_modes), np.int16), np.empty(n_out)
+    pos = 0
+    for n_p, n_s, grid in pieces:
+        cells = counts[pos : pos + grid.size].reshape(*grid.shape, -1)
+        cells[:, :, : n_p.shape[1]] = n_p[:, None]
+        cells[:, :, n_p.shape[1] :] = n_s
+        probs[pos : pos + grid.size] = grid.ravel()
+        pos += grid.size
+    return Distribution(counts, probs)
 
 
 def enumerate_fock_distribution(unitary: np.ndarray, lattice: LatticeSpec) -> Distribution:
@@ -591,32 +584,41 @@ def fock_error_bound(
     )
 
 
-def _block_product_at(counts: np.ndarray, blocks, policy) -> np.ndarray:
-    """Block product probability of each row of ``counts`` (zero where a
-    block table, enumerated under ``policy``, lacks it), multiplied in
-    :func:`product_distribution`'s order, so with its bits.  Keys are base
-    ``n_total_max + 1``, looked up in a dense table no longer than
-    ``counts``, else by binary search."""
-    base, q = int(policy.n_total_max) + 1, np.ones(counts.shape[0])
+def _exact_and_block_product(sigma, blocks, policy) -> tuple[np.ndarray, np.ndarray]:
+    """Exact and block product probabilities ``p``, ``q`` of the rows of
+    ``sigma``'s :func:`enumerate_gbs_distribution` table, from its pair
+    grids alone.  A block's key (base ``n_total_max + 1``, Python ints past
+    62 bits) is a prefix-row key plus a suffix-row key: per grid and block,
+    one outer sum and one lookup, dense or by binary search.  Blocks
+    multiply from ones in order, giving :func:`product_distribution`'s bits."""
+    n_out, pieces = _gbs_pieces(sigma, policy)
+    base, h = int(policy.n_total_max) + 1, sigma.n_modes // 2
+    lookups = []
     for block, modes in zip(blocks.blocks, blocks.lattice.sublattices):
         dist = enumerate_gbs_distribution(quad_to_complex(block), policy)
         wide = len(modes) * math.log2(base) > 62  # keys past int64 stay Python ints
-        keys = np.zeros(dist.probs.shape[0], object if wide else np.int64)
-        want = np.zeros(counts.shape[0], keys.dtype)
-        for k in reversed(range(len(modes))):
-            keys = keys * base + dist.counts[:, k]
-            want *= base
-            want += counts[:, modes[k]]
-        if base ** len(modes) <= counts.shape[0]:
+        weights = np.zeros(sigma.n_modes, object if wide else np.int64)
+        weights[modes] = [base**k for k in range(len(modes))]
+        keys = dist.counts @ weights[modes]
+        order, dense = np.argsort(keys), None  # binary search, or a dense table
+        if base ** len(modes) <= n_out:
             dense = np.zeros(base ** len(modes))
             dense[keys] = dist.probs
-            q = q * dense[want]
-        else:
-            order = np.argsort(keys)
-            at = np.searchsorted(keys, want, sorter=order)
-            at = order[np.minimum(at, keys.size - 1)]
-            q = q * np.where(keys[at] == want, dist.probs[at], 0.0)
-    return q
+        lookups.append((weights, dense, keys[order], dist.probs[order]))
+    p, q = np.empty(n_out), np.ones(n_out)
+    pos = 0
+    for n_p, n_s, grid in pieces:
+        p[pos : pos + grid.size] = grid.ravel()
+        cells = q[pos : pos + grid.size].reshape(grid.shape)
+        for weights, dense, keys, probs in lookups:
+            want = (n_p @ weights[:h])[:, None] + n_s @ weights[h:]
+            if dense is not None:
+                cells *= dense[want]
+            else:
+                at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+                cells *= np.where(keys[at] == want, probs[at], 0.0)
+        pos += grid.size
+    return p, q
 
 
 def theorem_bound_report(
@@ -634,13 +636,12 @@ def theorem_bound_report(
     leakage, infidelity bound, distance bound) on the measured
     quantities, and — when the instance is small enough — enumerates the
     exact and block tables under ``policy`` to report the true table
-    distance alongside the bounds.  The block product is scored at the
-    exact rows, which hold every product row, and summed by
-    :func:`_canonical_sum`, so :func:`tvd` against the
-    :func:`product_distribution` table gives the same bits.  Enumeration
-    budgets are clamped to ``enumerate_budget_cap``; the mass left outside
-    the clamped tables is charged to ``tvd_upper``, so the reported upper
-    bound stays rigorous.  The lattice is the circuit's own.
+    distance alongside the bounds.  The block product is scored on the
+    exact state's pair grids, which hold every product row, and summed
+    canonically: :func:`tvd` against :func:`product_distribution` gives
+    the same bits.  Budgets are clamped to ``enumerate_budget_cap``; the
+    mass outside the clamped tables is charged to ``tvd_upper``, so the
+    reported upper bound stays rigorous.  The lattice is the circuit's own.
     """
     lattice = circuit.lattice
     blocks = block_approx_covariance(circuit, lattice, squeezing)
@@ -669,11 +670,10 @@ def theorem_bound_report(
     if lattice.n_modes <= enumerate_modes_cap:
         budget = min(int(policy.n_total_max), enumerate_budget_cap)
         clamped = TruncationPolicy(policy.epsilon, budget)
-        exact = enumerate_gbs_distribution(quad_to_complex(v_out), clamped)
-        q = _block_product_at(exact.counts, blocks, clamped)
-        masses = exact.mass, _canonical_sum(q)
+        p, q = _exact_and_block_product(quad_to_complex(v_out), blocks, clamped)
+        masses = _canonical_sum(p), _canonical_sum(q)
         report["exact_mass"], report["approx_mass"] = masses
-        report["tvd_table"] = 0.5 * _canonical_sum(np.abs(exact.probs - q))
+        report["tvd_table"] = 0.5 * _canonical_sum(np.abs(p - q))
         report["tvd_upper"] = report["tvd_table"] + _tail_slop(*masses)
     return report
 

@@ -778,8 +778,9 @@ def test_theorem_bound_report_runs_full_chain():
         (1, 4, 2, 0.5, 8),  # budget clamped to keep the rank-4 table small
         (1, 1, 8, 0.5, 16),  # one block of 8 modes: 17^8 keys, binary search
         (1, 2, 4, 0.0, 16),  # vacuum tables
+        (1, 3, 2, 0.5, 16),  # block [2, 3] straddles the join's split at 3
     ],
-    ids=["d1", "d2", "n4", "one-block", "vacuum"],
+    ids=["d1", "d2", "n4", "one-block", "vacuum", "n3"],
 )
 def test_theorem_bound_report_matches_the_product_table_bit_for_bit(
     dim, n_sources, edge, squeezing, budget_cap
@@ -795,14 +796,16 @@ def test_theorem_bound_report_matches_the_product_table_bit_for_bit(
     assert report["approx_mass"] == approx.mass
     assert report["tvd_table"] == tvd(exact, approx)
     assert report["tvd_upper"] == tvd_upper_bound(exact, approx)
-    # row by row: every product row is an exact row, and the pointwise
-    # product there is the table's probability, bit for bit
+    # row by row: the scorer's p is the exact table, every product row is
+    # an exact row, and q there is the product table's probability, bit
+    # for bit
     budget = min(policy.n_total_max, budget_cap)
-    q = blsampler.diagnostics._block_product_at(
-        exact.counts,
+    p, q = blsampler.diagnostics._exact_and_block_product(
+        quad_to_complex(state_covariance(circ, lat, squeezing)),
         block_approx_covariance(circ, lat, squeezing),
         TruncationPolicy(policy.epsilon, budget),
     )
+    np.testing.assert_array_equal(p, exact.probs)
     powers = (budget + 1) ** np.arange(lat.n_modes, dtype=np.int64)
     exact_keys = exact.counts.astype(np.int64) @ powers
     approx_keys = approx.counts.astype(np.int64) @ powers
@@ -813,6 +816,24 @@ def test_theorem_bound_report_matches_the_product_table_bit_for_bit(
     expected = np.zeros(exact.probs.shape[0])
     expected[at] = approx.probs
     np.testing.assert_array_equal(q, expected)
+
+
+def test_theorem_bound_report_peak_holds_no_count_table():
+    # one warm bounds-small report: the exact table's 735,471 x 8 count
+    # rows (11.8 MB) and a per-row key array per block are never built
+    dim, sources, edge, depth = _BOUNDS_SMALL
+    lat = build_lattice(dim, sources, edge)
+    circ = sample_random_circuit(lat, depth, np.random.default_rng(31))
+    policy = truncation_threshold(sources, 0.5, epsilon=1e-6)
+    warm = theorem_bound_report(circ, 0.5, policy=policy)
+    tracemalloc.start()
+    try:
+        report = theorem_bound_report(circ, 0.5, policy=policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == warm
+    assert peak < 34e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_theorem_bound_report_keys_wide_blocks_exactly():
