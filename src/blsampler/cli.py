@@ -10,17 +10,19 @@ Modes
 ``diagnose-bounds``   full approximation-error chain per instance (JSON)
 ``kernels-selftest``  oracle-equivalence suite for the matrix kernels
 
-Sampling artifacts are JSON lines: the first line carries the full
-normalized config, each following line one sample
-``{"sample_id", "counts"|"clicks", "sampler", "seed", "stream"}``.
+Sampling artifacts are JSON lines: compact, key-sorted JSON, one record
+per line.  The first line carries the full normalized config, each
+following line one sample
+``{"counts"|"clicks", "sample_id", "sampler", "seed", "stream"}``.
 Rerunning a sampling mode with the same config and seed reproduces the
 file byte for byte: sample i draws from its own ``default_rng([seed, i])``
 substream.
 
-Exit codes: 0 success, 2 invalid config, 3 oracle/kernel scale exceeded
-(a photon budget past its cap included, refused in ``validate``), 4
-numerical conditioning or sampling failure.  stderr receives JSON
-error objects only (enabling ``BLS_LOG`` adds human-readable log lines).
+Exit codes: 0 success, 2 invalid config (an ``--out`` that cannot be
+written included), 3 oracle/kernel scale exceeded (a photon budget past
+its cap included, refused in ``validate``), 4 numerical conditioning or
+sampling failure.  stderr receives JSON error objects only (enabling
+``BLS_LOG`` adds human-readable log lines).
 """
 
 from __future__ import annotations
@@ -149,6 +151,10 @@ def validate(args) -> tuple[dict, list[str]]:
         if getattr(args, name) is not None:
             flag = "sublattice-edge" if name == "edge" else name
             problems.append(f"--{flag} has no effect in {mode}")
+    out = args.out  # a character device such as a pty passes
+    if out is not None and (os.path.isdir(out)
+                            or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        problems.append("--out must name a file in an existing directory")
     if mode == "kernels-selftest":
         config["out"] = args.out
         return config, problems
@@ -261,6 +267,21 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _sample_line(counts: np.ndarray, clicks: bool, sampler: str, seed: int, i: int) -> str:
+    """``_json_line`` of sample record ``i`` in O(occupied modes): zeros go
+    out as runs of one token, and only the occupied modes are formatted.
+    ``sampler`` is written as is, so it must need no JSON escaping."""
+    zero = "false," if clicks else "0,"
+    occupied = counts.nonzero()[0]
+    parts, start = [], 0
+    for j, value in zip(occupied.tolist(), counts[occupied].tolist()):
+        parts += (zero * (j - start), "true," if clicks else f"{value},")
+        start = j + 1
+    parts.append(zero * (len(counts) - start))
+    return (f'{{"{"clicks" if clicks else "counts"}":[{"".join(parts)[:-1]}],'
+            f'"sample_id":{i},"sampler":"{sampler}","seed":{seed},"stream":{i}}}\n')
+
+
 def _embedded(config: dict, **extra) -> dict:
     # The artifact describes the experiment, not where it is written, so
     # the same experiment produces the same bytes wherever it runs.
@@ -289,16 +310,12 @@ def _run_sampling(config: dict) -> str:
         sampler_name = "distinguishable"
 
     seed, n = config["seed"], config["n_samples"]
+    clicks = config["detector"] == "threshold"  # a click is a count >= 1
     with open(config["out"], "w") as fh:
         fh.write(_json_line({"config": _embedded(config)}))
         for i in range(n):
             counts = draw(np.random.default_rng([seed, i]))
-            record = {"sample_id": i, "sampler": sampler_name, "seed": seed, "stream": i}
-            if config["detector"] == "threshold":  # a click is a count >= 1
-                record["clicks"] = (counts > 0).tolist()
-            else:
-                record["counts"] = counts.tolist()
-            fh.write(_json_line(record))
+            fh.write(_sample_line(counts, clicks, sampler_name, seed, i))
     return f"wrote {n} samples to {config['out']}"
 
 
@@ -416,7 +433,7 @@ def main(argv=None) -> int:
     except (ConditioningError, SamplingError, OverflowError) as exc:
         _emit_error("numerical", str(exc))
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: the artifact could not be written
         _emit_error("invalid-config", str(exc))
         return EXIT_INVALID_CONFIG
 

@@ -10,10 +10,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import blsampler
-from blsampler.cli import ALL_MODES, _build_parser, main, validate
+from blsampler.cli import ALL_MODES, _build_parser, _json_line, _sample_line, main, validate
 from blsampler.diagnostics import leakage_bound
 from blsampler.errors import ConditioningError, SizeCapError
 
@@ -302,12 +303,97 @@ def test_fock_sampler_conserves_photons(tmp_path):
             "b74436ad3e17891584fdf99980b842208a86ad367bee383166ca720ae297757f",
             id="sample-exact-wide",
         ),
+        # pinned before sample records skipped their zero modes: counts
+        # reach 174, past the two digits of every pin above
+        pytest.param(
+            "--mode sample-approx --dim 1 --sources 2 --sublattice-edge 2 "
+            "--depth 2 --squeezing 2.5 --samples 20 --seed 1",
+            "35be8287901eb2d0650f3ad37c3772e9084b0fd5bbf1d565fb51c48179aad849",
+            id="sample-approx-three-digit",
+        ),
     ],
 )
 def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
     out = tmp_path / "pinned.jsonl"
     assert main(args.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _count_vectors(rng):
+    """Seeded count vectors: empty and full, ends occupied, counts 10..1e6."""
+    for m in (1, 2, 5, 64, 512):
+        for dtype in (np.int64, int):
+            yield np.zeros(m, dtype)
+            yield rng.integers(1, 10**6, m, endpoint=True).astype(dtype)
+            ends = np.zeros(m, dtype)
+            ends[0], ends[-1] = 10, 10**6
+            yield ends
+            for share in (0.01, 0.1, 0.5):
+                scale = 10 ** rng.integers(1, 6, m, endpoint=True)
+                counts = rng.integers(scale, 10 * scale) * (rng.random(m) < share)
+                yield np.minimum(counts, 10**6).astype(dtype)
+
+
+@pytest.mark.parametrize("clicks", [False, True], ids=["pnr", "threshold"])
+def test_sample_line_equals_the_json_line(clicks):
+    rng = np.random.default_rng(24)
+    for i, counts in enumerate(_count_vectors(rng)):
+        seed = int(rng.integers(0, 2**63))
+        for sampler in ("exact", "approx", "distinguishable"):
+            key = "clicks" if clicks else "counts"
+            record = {key: (counts > 0).tolist() if clicks else counts.tolist(),
+                      "sample_id": i, "sampler": sampler, "seed": seed, "stream": i}
+            assert _sample_line(counts, clicks, sampler, seed, i) == _json_line(record)
+
+
+# ---------------------------------------------------------- artifact path
+
+# the call that starts each mode's work once validate has passed
+_FIRST_WORK = {"sample-approx": "BlockApproxSampler",
+               "diagnose-leakage": "leakage_rate",
+               "diagnose-bounds": "theorem_bound_report"}
+
+
+@pytest.mark.parametrize("mode", list(_FIRST_WORK))
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, mode):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{mode} started work on an unwritable --out")
+
+    monkeypatch.setattr(f"blsampler.cli.{_FIRST_WORK[mode]}", no_work)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "x.out", tmp_path, tmp_path / "file" / "x.out"):
+        argv = ["--mode", mode, "--dim", "1", "--sources", "2", "--sublattice-edge", "2",
+                "--depth", "2", "--samples", "2", "--seed", "1", "--out", str(out)]
+        if mode != "diagnose-leakage":
+            argv += ["--squeezing", "0.5"]
+        assert main(argv) == 2
+        err = _stderr_json(capsys)
+        assert err["error"] == "invalid-config"
+        assert err["problems"] == ["--out must name a file in an existing directory"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_out_that_cannot_be_opened_exits_two(tmp_path):
+    # the directory exists, but the name is past the file system's limit, so
+    # validate passes it and open fails: a JSON error, not a traceback
+    proc = _cli_process(*_sample_args("sample-approx", tmp_path / ("x" * 300)))
+    assert proc.returncode == 2
+    errors = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert [e["error"] for e in errors] == ["invalid-config"]
+    assert "File name too long" in errors[0]["message"]
+
+
+def test_out_accepts_character_devices():
+    # the benchmark streams records through a pty
+    master, slave = os.openpty()
+    try:
+        for out in (os.ttyname(slave), os.devnull):
+            args = _build_parser().parse_args(_sample_args("sample-approx", out))
+            assert validate(args)[1] == []
+    finally:
+        os.close(master)
+        os.close(slave)
+    assert main(_sample_args("sample-approx", os.devnull)) == 0
 
 
 # --------------------------------------------------------------- selftest
