@@ -7,8 +7,9 @@ of monomial coefficients weighted by ``prod_r (m_r - 1)!!`` over the
 all-even exponent vectors.  This module maintains, per variable count,
 degree-indexed tables that make (a) multiplying a homogeneous polynomial
 by a linear form and (b) extracting the Gaussian moment single
-vectorized steps.  It also builds the moment Gram matrix, which pairs
-two polynomials' coefficients into the moment of their product.
+vectorized steps.  It also builds, once per pair of degrees, the moment
+Gram matrix, which pairs two polynomials' coefficients into the moment
+of their product.
 
 Exponent vectors of degree ``g`` are kept in lexicographic order, the
 order :func:`_compositions` emits.  Adding ``e_r`` to every vector of
@@ -73,6 +74,7 @@ class MomentTables:
         self._dst: list[tuple] = []  # per degree: rows of comp + e_r, per variable
         self._weights: list[np.ndarray] = []
         self._exponents: dict[int, np.ndarray] = {}  # per degree, read by gram
+        self._grams: dict[tuple[int, int], np.ndarray] = {}  # read-only
         self._grow_lock = threading.Lock()
         self.ensure(0)
 
@@ -150,7 +152,15 @@ class MomentTables:
         vectors of degrees ``deg_u`` and ``deg_v``, in table order, so
         ``E[p q] == p @ W @ q`` for homogeneous ``p`` and ``q``.  The
         moment factors over variables: ``(k - 1)!!`` of each exponent sum
-        ``k``, zero when it is odd."""
+        ``k``, zero when it is odd.
+
+        Each matrix is built once and kept, read-only, for the lifetime of
+        the process.  The cache takes no lock: a stored matrix is never
+        written, and two threads that build the same one at once build the
+        same bits, so either store may win."""
+        out = self._grams.get((deg_u, deg_v))
+        if out is not None:
+            return out
         self.ensure(deg_u + deg_v)
         for g in (deg_u, deg_v):
             if g not in self._exponents:
@@ -161,6 +171,8 @@ class MomentTables:
         out = np.ones((u.shape[0], v.shape[0]))
         for r in range(self.n_vars):
             out *= one_var[u[:, r, None] + v[:, r]]
+        out.setflags(write=False)
+        self._grams[deg_u, deg_v] = out
         return out
 
 

@@ -137,7 +137,9 @@ class Distribution:
 def _canonical_sum(v: np.ndarray) -> float:
     """Sum of the nonzero entries in ascending order: it depends only on
     their multiset, so row order and zero rows cannot change its bits."""
-    return float(np.sort(v[v != 0]).sum())
+    nonzero = v[v != 0]  # a copy, sorted in place
+    nonzero.sort()
+    return float(nonzero.sum())
 
 
 def tvd(d1: Distribution, d2: Distribution) -> float:
@@ -324,9 +326,13 @@ def _dp_enumerate(
     polynomial is a prefix polynomial times a suffix one, so the
     amplitudes of all outcomes with ``a`` prefix and ``b`` suffix photons
     are one product ``C_P[a] @ W @ C_S[b].T`` through the moment Gram
-    matrix ``W`` (:meth:`~blsampler._moments.MomentTables.gram`).  Yields
-    each pair's prefix count rows, suffix count rows and probability grid,
-    ``a``-major; odd moment degrees give exact zero grids, no product.
+    matrix ``W`` (:meth:`~blsampler._moments.MomentTables.gram`), taken
+    in the order ``multi_dot`` would choose; the squared magnitude (or
+    clipped real part), the norm and the factorials are applied in place.
+    Returns the prefix and suffix count rows per photon total and a
+    generator of ``(a, b, grid)`` probability grids, ``a``-major, whose
+    rows are ``a``'s prefix rows and columns ``b``'s suffix rows; odd
+    moment degrees give exact zero grids, no product.
     """
     m, ppp = len(mode_forms), len(mode_forms[0])
     h = m // 2
@@ -335,20 +341,36 @@ def _dp_enumerate(
     suf_c, suf_n = _half_table(mode_forms[h:], tabs, ppp, budget)
     pre_f = [_FACT[n].prod(axis=1) for n in pre_n]  # ones when no prefix mode
     suf_f = [_FACT[n].prod(axis=1) for n in suf_n]
-    for a, (c_p, n_p) in enumerate(zip(pre_c, pre_n)):
-        for b, (c_s, n_s) in enumerate(zip(suf_c[: budget - a + 1], suf_n)):
-            if ppp * (a + b) % 2:
-                yield n_p, n_s, np.zeros((n_p.shape[0], n_s.shape[0]))
-                continue
-            vals = np.linalg.multi_dot([c_p, tabs.gram(ppp * a, ppp * b), c_s.T])
-            raw = np.abs(vals) ** 2 if value == "abs2" else np.maximum(vals.real, 0.0)
-            yield n_p, n_s, raw * norm / np.outer(pre_f[a], suf_f[b])
-    logger.debug("enumerated %d modes within budget %d", m, budget)
+
+    def grids():
+        for a, c_p in enumerate(pre_c):
+            for b, c_s in enumerate(suf_c[: budget - a + 1]):
+                if ppp * (a + b) % 2:
+                    yield a, b, np.zeros((c_p.shape[0], c_s.shape[0]))
+                    continue
+                w = tabs.gram(ppp * a, ppp * b)
+                (rows, k), (cols, n) = c_p.shape, c_s.shape  # multi_dot's order
+                if rows * n * (k + cols) < k * cols * (rows + n):
+                    vals = np.dot(np.dot(c_p, w), c_s.T)
+                else:
+                    vals = np.dot(c_p, np.dot(w, c_s.T))
+                if value == "abs2":
+                    grid = np.abs(vals)
+                    grid **= 2
+                else:
+                    grid = np.maximum(vals.real, 0.0)
+                grid *= norm
+                grid /= np.outer(pre_f[a], suf_f[b])
+                yield a, b, grid
+        logger.debug("enumerated %d modes within budget %d", m, budget)
+
+    return pre_n, suf_n, grids()
 
 
 def _gbs_pieces(sigma, policy):
-    """:func:`enumerate_gbs_distribution`'s outcome count and pair grids
-    (one vacuum cell for an empty factor); refusals raise before any grid."""
+    """:func:`enumerate_gbs_distribution`'s outcome count followed by
+    :func:`_dp_enumerate`'s half count rows and pair grids (one vacuum cell
+    for an empty factor); refusals raise before any grid."""
     m = sigma.n_modes
     budget = int(policy.n_total_max)
     a = a_matrix(sigma).matrix
@@ -360,7 +382,7 @@ def _gbs_pieces(sigma, policy):
     if factor.shape[1] == 0:
         # vacuum, or rounding noise below the factor tolerance
         vac = np.zeros((1, m), dtype=np.int16)
-        return 1, [(vac[:, : m // 2], vac[:, m // 2 :], np.array([[norm]]))]
+        return 1, [vac[:, : m // 2]], [vac[:, m // 2 :]], [(0, 0, np.array([[norm]]))]
     if factor.shape[1] > LOW_RANK_COLUMN_CAP:
         # a pure A is the block and its conjugate: twice the block's rank
         raise SizeCapError(
@@ -369,7 +391,7 @@ def _gbs_pieces(sigma, policy):
             f"{LOW_RANK_COLUMN_CAP}"
         )
     _dp_guard(m, budget, 1 if pure else 2, factor.shape[1])
-    return math.comb(budget + m, m), _dp_enumerate(
+    return math.comb(budget + m, m), *_dp_enumerate(
         [[factor[j]] if pure else [factor[j], factor[m + j]] for j in range(m)],
         factor.shape[1],
         budget,
@@ -390,10 +412,11 @@ def enumerate_gbs_distribution(sigma, policy) -> Distribution:
     holds every outcome within the budget once; its row order is not part
     of the contract.
     """
-    n_out, pieces = _gbs_pieces(sigma, policy)
+    n_out, pre_n, suf_n, grids = _gbs_pieces(sigma, policy)
     counts, probs = np.empty((n_out, sigma.n_modes), np.int16), np.empty(n_out)
     pos = 0
-    for n_p, n_s, grid in pieces:
+    for a, b, grid in grids:
+        n_p, n_s = pre_n[a], suf_n[b]
         cells = counts[pos : pos + grid.size].reshape(*grid.shape, -1)
         cells[:, :, : n_p.shape[1]] = n_p[:, None]
         cells[:, :, n_p.shape[1] :] = n_s
@@ -584,39 +607,58 @@ def fock_error_bound(
     )
 
 
+def _block_factor(dist, modes, base: int, n_out: int, pre_n, suf_n):
+    """``factor(a, b)``: block table ``dist``'s probabilities on the join's
+    ``(a, b)`` pair grid, broadcastable onto it.  A block's key (base
+    ``base``, Python ints past 62 bits) is a prefix-row key plus a
+    suffix-row key, looked up dense or by binary search: once per photon
+    total of its half for a block inside one half, per cell otherwise."""
+    h, n_modes = pre_n[0].shape[1], pre_n[0].shape[1] + suf_n[0].shape[1]
+    wide = len(modes) * math.log2(base) > 62  # keys past int64 stay Python ints
+    weights = np.zeros(n_modes, object if wide else np.int64)
+    weights[modes] = [base**k for k in range(len(modes))]
+    keys = dist.counts @ weights[modes]
+    if base ** len(modes) <= n_out:
+        dense = np.zeros(base ** len(modes))
+        dense[keys] = dist.probs
+        look = dense.__getitem__
+    else:
+        order = np.argsort(keys)
+        keys, probs = keys[order], dist.probs[order]
+
+        def look(want):
+            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+            return np.where(keys[at] == want, probs[at], 0.0)
+
+    pre = [n @ weights[:h] for n in pre_n]
+    suf = [n @ weights[h:] for n in suf_n]
+    if max(modes) < h:
+        pre = [look(k)[:, None] for k in pre]
+        return lambda a, b: pre[a]
+    if min(modes) >= h:
+        suf = [look(k) for k in suf]
+        return lambda a, b: suf[b]
+    return lambda a, b: look(pre[a][:, None] + suf[b])
+
+
 def _exact_and_block_product(sigma, blocks, policy) -> tuple[np.ndarray, np.ndarray]:
     """Exact and block product probabilities ``p``, ``q`` of the rows of
     ``sigma``'s :func:`enumerate_gbs_distribution` table, from its pair
-    grids alone.  A block's key (base ``n_total_max + 1``, Python ints past
-    62 bits) is a prefix-row key plus a suffix-row key: per grid and block,
-    one outer sum and one lookup, dense or by binary search.  Blocks
-    multiply from ones in order, giving :func:`product_distribution`'s bits."""
-    n_out, pieces = _gbs_pieces(sigma, policy)
-    base, h = int(policy.n_total_max) + 1, sigma.n_modes // 2
-    lookups = []
+    grids alone.  Blocks (:func:`_block_factor`) multiply from ones in
+    order, giving :func:`product_distribution`'s bits."""
+    n_out, pre_n, suf_n, grids = _gbs_pieces(sigma, policy)
+    base = int(policy.n_total_max) + 1
+    factors = []
     for block, modes in zip(blocks.blocks, blocks.lattice.sublattices):
         dist = enumerate_gbs_distribution(quad_to_complex(block), policy)
-        wide = len(modes) * math.log2(base) > 62  # keys past int64 stay Python ints
-        weights = np.zeros(sigma.n_modes, object if wide else np.int64)
-        weights[modes] = [base**k for k in range(len(modes))]
-        keys = dist.counts @ weights[modes]
-        order, dense = np.argsort(keys), None  # binary search, or a dense table
-        if base ** len(modes) <= n_out:
-            dense = np.zeros(base ** len(modes))
-            dense[keys] = dist.probs
-        lookups.append((weights, dense, keys[order], dist.probs[order]))
+        factors.append(_block_factor(dist, modes, base, n_out, pre_n, suf_n))
     p, q = np.empty(n_out), np.ones(n_out)
     pos = 0
-    for n_p, n_s, grid in pieces:
+    for a, b, grid in grids:
         p[pos : pos + grid.size] = grid.ravel()
         cells = q[pos : pos + grid.size].reshape(grid.shape)
-        for weights, dense, keys, probs in lookups:
-            want = (n_p @ weights[:h])[:, None] + n_s @ weights[h:]
-            if dense is not None:
-                cells *= dense[want]
-            else:
-                at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-                cells *= np.where(keys[at] == want, probs[at], 0.0)
+        for factor in factors:
+            cells *= factor(a, b)
         pos += grid.size
     return p, q
 
@@ -673,7 +715,8 @@ def theorem_bound_report(
         p, q = _exact_and_block_product(quad_to_complex(v_out), blocks, clamped)
         masses = _canonical_sum(p), _canonical_sum(q)
         report["exact_mass"], report["approx_mass"] = masses
-        report["tvd_table"] = 0.5 * _canonical_sum(np.abs(p - q))
+        np.subtract(p, q, out=q)  # q is summed: |p - q| takes its buffer
+        report["tvd_table"] = 0.5 * _canonical_sum(np.abs(q, out=q))
         report["tvd_upper"] = report["tvd_table"] + _tail_slop(*masses)
     return report
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import blsampler._moments
 import blsampler.diagnostics
 import blsampler.lattice
 from blsampler import (
@@ -821,7 +822,10 @@ def test_theorem_bound_report_matches_the_product_table_bit_for_bit(
 def test_theorem_bound_report_peak_holds_no_count_table():
     # one warm bounds-small report: the exact table's 735,471 x 8 count
     # rows (11.8 MB) and a per-row key array per block are never built.
-    # Building them peaked at 41.2 MB; the pair grids peak near 29.4 MB.
+    # Building them peaked at 41.2 MB.  The pair grids with a per-cell key
+    # gather and fresh temporaries per step peaked at 29.4 MB; with
+    # in-place grid arithmetic, per-half block lookups and |p - q| in q's
+    # buffer the peak is 18.4 MB.
     dim, sources, edge, depth = _BOUNDS_SMALL
     lat = build_lattice(dim, sources, edge)
     circ = sample_random_circuit(lat, depth, np.random.default_rng(31))
@@ -834,7 +838,27 @@ def test_theorem_bound_report_peak_holds_no_count_table():
     finally:
         tracemalloc.stop()
     assert report == warm
-    assert peak < 34e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 22e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_theorem_bound_report_does_not_depend_on_the_table_cache(monkeypatch):
+    # the moment tables and Gram matrices are cached per process: a report
+    # taken after two other instances warmed them equals one taken with
+    # fresh tables, bit for bit
+    dim, sources, edge, depth = _BOUNDS_SMALL
+    lat = build_lattice(dim, sources, edge)
+    policy = truncation_threshold(sources, 0.5, epsilon=1e-6)
+    circs = [
+        sample_random_circuit(lat, depth, np.random.default_rng(seed))
+        for seed in (41, 42, 43)
+    ]
+    for circ in circs[1:]:
+        theorem_bound_report(circ, 0.5, policy=policy)
+    warm = theorem_bound_report(circs[0], 0.5, policy=policy)
+    monkeypatch.setattr(blsampler._moments, "_TABLES", {})
+    fresh = theorem_bound_report(circs[0], 0.5, policy=policy)
+    assert blsampler._moments._TABLES  # the report built its own tables
+    assert fresh == warm
 
 
 def test_theorem_bound_report_keys_wide_blocks_exactly():

@@ -162,6 +162,21 @@ def test_gram_pairs_two_polynomials_into_their_product_moment():
     assert p @ tabs.gram(4, 2) @ q == pytest.approx(tabs.moment(pq, 6), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_vars", [1, 2, 4])
+def test_gram_is_built_once_read_only_with_fresh_bits(n_vars):
+    tabs = _moments.tables(n_vars)
+    for deg_u, deg_v in [(0, 0), (4, 2), (2, 4), (6, 6)]:
+        first = tabs.gram(deg_u, deg_v)
+        assert tabs.gram(deg_u, deg_v) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        fresh = _moments.MomentTables(n_vars).gram(deg_u, deg_v)
+        assert fresh is not first
+        assert fresh.shape == first.shape
+        assert fresh.tobytes() == first.tobytes()
+
+
 def test_concurrent_table_growth_stays_consistent():
     # regression: unsynchronized growth used to misalign the degree lists
     tabs = _moments.MomentTables(3)
