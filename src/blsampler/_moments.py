@@ -135,11 +135,6 @@ class MomentTables:
             out[..., dst] += form[r] * coeffs
         return out
 
-    def weights(self, degree: int) -> np.ndarray:
-        """Gaussian-moment weight vector for homogeneous ``degree`` (view)."""
-        self.ensure(degree)
-        return self._weights[degree]
-
     def moment(self, coeffs: np.ndarray, degree: int) -> complex:
         """Standard-normal expectation of the homogeneous polynomial."""
         if degree % 2:

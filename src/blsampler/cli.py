@@ -23,13 +23,15 @@ written included), 3 oracle/kernel scale exceeded (a photon budget past
 its cap included, refused in ``validate``), 4 numerical conditioning or
 sampling failure.  stderr receives JSON error objects only (enabling
 ``BLS_LOG`` adds human-readable log lines).
+
+Each runner imports only what its mode runs: the fast samplers load no
+Gaussian, kernel or diagnostics module, ``sample-exact`` no diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -37,28 +39,16 @@ import time
 
 import numpy as np
 
-from .diagnostics import (
-    leakage_rate,
-    random_walk_profile,
-    theorem_bound_report,
-    write_csv,
-    write_json,
-)
 from .errors import ConditioningError, SamplingError, SizeCapError
-from .gaussian import quad_to_complex, state_covariance
-from .kernels import run_selftest
 from .lattice import MAX_MODE_CELLS, build_lattice, sample_random_circuit, source_columns
 from .samplers import (
     BlockApproxSampler,
-    ChainRuleEngine,
     DistinguishableFockSampler,
     TruncationPolicy,
     truncation_threshold,
 )
 
 __all__ = ["main", "validate", "run"]
-
-logger = logging.getLogger(__name__)
 
 SAMPLING_MODES = ("sample-exact", "sample-approx", "sample-fock")
 DIAGNOSE_MODES = ("diagnose-leakage", "diagnose-walk", "diagnose-bounds")
@@ -299,6 +289,9 @@ def _run_sampling(config: dict) -> str:
     if mode != "sample-fock":
         policy = TruncationPolicy(config["epsilon"], config["n_total_max"])
     if mode == "sample-exact":
+        from .chainrule import ChainRuleEngine
+        from .gaussian import quad_to_complex, state_covariance
+
         sigma = quad_to_complex(state_covariance(circuit, lattice, r))
         draw = ChainRuleEngine(sigma, policy).sample
         sampler_name = "exact"
@@ -320,6 +313,8 @@ def _run_sampling(config: dict) -> str:
 
 
 def _run_leakage(config: dict) -> str:
+    from .diagnostics import leakage_rate, write_csv
+
     lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     rng = np.random.default_rng([config["seed"]])
     eta_cols = [f"eta_{i}" for i in range(lattice.n_sources)]
@@ -340,6 +335,8 @@ def _run_leakage(config: dict) -> str:
 
 
 def _run_walk(config: dict) -> str:
+    from .diagnostics import random_walk_profile, write_csv
+
     profile = random_walk_profile(
         build_lattice(config["dim"], config["n_sources"], config["edge"]),
         config["depth"],
@@ -361,6 +358,8 @@ def _run_walk(config: dict) -> str:
 
 
 def _run_bounds(config: dict) -> str:
+    from .diagnostics import theorem_bound_report, write_json
+
     lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     rng = np.random.default_rng([config["seed"]])
     policy = TruncationPolicy(config["epsilon"], config["n_total_max"])
@@ -374,6 +373,9 @@ def _run_bounds(config: dict) -> str:
 
 
 def _run_selftest(config: dict) -> tuple[str, int]:
+    from .diagnostics import write_json
+    from .kernels import run_selftest
+
     report = run_selftest()
     if config.get("out"):
         write_json(config["out"], report)
@@ -413,6 +415,8 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 def main(argv=None) -> int:
     level = os.environ.get("BLS_LOG")
     if level:
+        import logging
+
         logging.basicConfig(
             stream=sys.stderr,
             level=getattr(logging, level.upper(), logging.WARNING),

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _moments
+from .chainrule import _logdet_q
 from .errors import SizeCapError
 from .gaussian import (
     QuadCovariance,
@@ -63,7 +64,7 @@ from .lattice import (
     _source_cols,
     brickwork_pairs,
 )
-from .samplers import TruncationPolicy, _logdet_q
+from .samplers import TruncationPolicy
 
 __all__ = [
     "Distribution",
@@ -134,9 +135,14 @@ class Distribution:
         }
 
 
-def _canonical_sum(v: np.ndarray) -> float:
+def _canonical_sum(v: np.ndarray, in_place: bool = False) -> float:
     """Sum of the nonzero entries in ascending order: it depends only on
-    their multiset, so row order and zero rows cannot change its bits."""
+    their multiset, so row order and zero rows cannot change its bits.
+    ``in_place`` sorts a non-negative ``v`` itself and sums past its zeros,
+    with no copy."""
+    if in_place:
+        v.sort()
+        return float(v[v.searchsorted(0.0, "right"):].sum())
     nonzero = v[v != 0]  # a copy, sorted in place
     nonzero.sort()
     return float(nonzero.sum())
@@ -713,11 +719,13 @@ def theorem_bound_report(
         budget = min(int(policy.n_total_max), enumerate_budget_cap)
         clamped = TruncationPolicy(policy.epsilon, budget)
         p, q = _exact_and_block_product(quad_to_complex(v_out), blocks, clamped)
-        masses = _canonical_sum(p), _canonical_sum(q)
-        report["exact_mass"], report["approx_mass"] = masses
-        np.subtract(p, q, out=q)  # q is summed: |p - q| takes its buffer
-        report["tvd_table"] = 0.5 * _canonical_sum(np.abs(q, out=q))
-        report["tvd_upper"] = report["tvd_table"] + _tail_slop(*masses)
+        exact_mass = _canonical_sum(p)
+        np.subtract(p, q, out=p)  # p is summed: |p - q| takes its buffer
+        tvd_table = 0.5 * _canonical_sum(np.abs(p, out=p), in_place=True)
+        del p  # summed twice: only q is left to read
+        approx_mass = _canonical_sum(q, in_place=True)
+        report.update(exact_mass=exact_mass, approx_mass=approx_mass, tvd_table=tvd_table,
+                      tvd_upper=tvd_table + _tail_slop(exact_mass, approx_mass))
     return report
 
 

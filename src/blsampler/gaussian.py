@@ -34,7 +34,6 @@ __all__ = [
     "BlockApproxCovariance",
     "state_covariance",
     "quad_to_complex",
-    "reduce_quad",
     "reduce_complex",
     "a_matrix",
     "block_approx_covariance",
@@ -143,12 +142,6 @@ def quad_to_complex(cov: QuadCovariance) -> ComplexCovariance:
     tv = np.concatenate([tv, tv.conj()])
     x, p = s * tv[:, 0::2], 1j * (s * tv[:, 1::2])
     return ComplexCovariance(np.concatenate([x - p, x + p], axis=1))
-
-
-def reduce_quad(cov: QuadCovariance, modes) -> QuadCovariance:
-    """Restrict to a mode subset (partial trace of the rest)."""
-    qidx = _quad_indices(modes)
-    return QuadCovariance(cov.matrix[np.ix_(qidx, qidx)])
 
 
 def reduce_complex(cov: ComplexCovariance, modes) -> ComplexCovariance:

@@ -42,7 +42,6 @@ __all__ = [
     "build_lattice",
     "brickwork_pairs",
     "sample_random_circuit",
-    "beam_splitter_unitary",
     "accumulate_unitary",
     "source_columns",
 ]
@@ -255,16 +254,6 @@ def sample_random_circuit(
     for a in angles:
         a.setflags(write=False)  # so the constructor keeps it without a copy
     return Circuit(lattice, pairs, angles)
-
-
-def beam_splitter_unitary(theta: float, phi: float) -> np.ndarray:
-    """2x2 mode transformation of a beam splitter.
-
-    ``[[cos t, e^{i p} sin t], [-e^{-i p} sin t, cos t]]``; at
-    ``theta = pi/4, phi = 0`` this is the balanced splitter.
-    """
-    c, es, fs = _gate_coefficients(theta, phi)
-    return np.array([[c, es], [fs, c]])
 
 
 def _gate_coefficients(theta, phi):

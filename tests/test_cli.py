@@ -349,9 +349,9 @@ def test_sample_line_equals_the_json_line(clicks):
 # ---------------------------------------------------------- artifact path
 
 # the call that starts each mode's work once validate has passed
-_FIRST_WORK = {"sample-approx": "BlockApproxSampler",
-               "diagnose-leakage": "leakage_rate",
-               "diagnose-bounds": "theorem_bound_report"}
+_FIRST_WORK = {"sample-approx": "blsampler.cli.BlockApproxSampler",
+               "diagnose-leakage": "blsampler.diagnostics.leakage_rate",
+               "diagnose-bounds": "blsampler.diagnostics.theorem_bound_report"}
 
 
 @pytest.mark.parametrize("mode", list(_FIRST_WORK))
@@ -359,7 +359,7 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch
     def no_work(*args, **kwargs):
         raise AssertionError(f"{mode} started work on an unwritable --out")
 
-    monkeypatch.setattr(f"blsampler.cli.{_FIRST_WORK[mode]}", no_work)
+    monkeypatch.setattr(_FIRST_WORK[mode], no_work)
     (tmp_path / "file").write_text("")
     for out in (tmp_path / "missing" / "x.out", tmp_path, tmp_path / "file" / "x.out"):
         argv = ["--mode", mode, "--dim", "1", "--sources", "2", "--sublattice-edge", "2",

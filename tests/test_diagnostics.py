@@ -40,6 +40,7 @@ from blsampler import (
     write_csv,
     write_json,
 )
+from blsampler.diagnostics import _canonical_sum
 from blsampler.gaussian import (
     SMALL_X_THRESHOLD,
     a_matrix,
@@ -50,6 +51,7 @@ from blsampler.gaussian import (
     x_norm_bound,
 )
 from blsampler.kernels import hafnian_general
+from reference import moment_weights
 
 
 def _reference_prob(sigma, counts):
@@ -436,7 +438,7 @@ def _unmemoized_dp(mode_forms, n_vars, budget, value, norm):
                 for f in mode_forms[m - 1]:
                     cur = tabs.multiply_linear(cur, degree, f)
                     degree += 1
-            vals = cur @ tabs.weights(degree)
+            vals = cur @ moment_weights(tabs, degree)
             raw = np.abs(vals) ** 2 if value == "abs2" else np.maximum(vals.real, 0.0)
             col = np.full((pblock.shape[0], 1), c, dtype=np.int16)
             out_counts.append(np.hstack([pblock, col]))
@@ -825,7 +827,8 @@ def test_theorem_bound_report_peak_holds_no_count_table():
     # Building them peaked at 41.2 MB.  The pair grids with a per-cell key
     # gather and fresh temporaries per step peaked at 29.4 MB; with
     # in-place grid arithmetic, per-half block lookups and |p - q| in q's
-    # buffer the peak is 18.4 MB.
+    # buffer the peak was 18.4 MB; with |p - q| in p's buffer and both it
+    # and q summed by sorting in place it is 16.0 MB, set by p's mass.
     dim, sources, edge, depth = _BOUNDS_SMALL
     lat = build_lattice(dim, sources, edge)
     circ = sample_random_circuit(lat, depth, np.random.default_rng(31))
@@ -838,7 +841,18 @@ def test_theorem_bound_report_peak_holds_no_count_table():
     finally:
         tracemalloc.stop()
     assert report == warm
-    assert peak < 22e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 18e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_in_place_canonical_sum_keeps_the_bits():
+    # the bounds report sums |p - q| and q by sorting them in place; that
+    # must give the masked copy's bits at any length and share of zeros
+    rng = np.random.default_rng(26)
+    for n in (0, 1, 7, 8, 9, 127, 128, 129, 1000, 8191, 8193, 100_000):
+        for zeros in (0.0, 0.5, 1.0):
+            v = rng.exponential(size=n) * 10.0 ** rng.integers(-12, 1, n)
+            v[rng.random(n) < zeros] = 0.0
+            assert _canonical_sum(v.copy(), in_place=True) == _canonical_sum(v), (n, zeros)
 
 
 def test_theorem_bound_report_does_not_depend_on_the_table_cache(monkeypatch):

@@ -10,7 +10,6 @@ from blsampler import (
     QuadCovariance,
     SMALL_X_THRESHOLD,
     a_matrix,
-    beam_splitter_unitary,
     block_approx_covariance,
     build_lattice,
     fidelity,
@@ -19,12 +18,12 @@ from blsampler import (
     purity_defect,
     quad_to_complex,
     reduce_complex,
-    reduce_quad,
     sample_random_circuit,
     state_covariance,
     tvd_bound,
     x_norm_bound,
 )
+from reference import beam_splitter_unitary, reduce_quad
 
 
 def _single_mode_squeezed(r: float) -> QuadCovariance:

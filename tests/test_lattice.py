@@ -11,13 +11,13 @@ from blsampler import (
     Circuit,
     MalformedCircuitError,
     accumulate_unitary,
-    beam_splitter_unitary,
     brickwork_pairs,
     build_lattice,
     sample_random_circuit,
     source_columns,
 )
 from blsampler.lattice import _source_cols, _tile_shape
+from reference import beam_splitter_unitary
 
 
 # ---------------------------------------------------------------- geometry

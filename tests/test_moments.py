@@ -8,6 +8,7 @@ import pytest
 
 from blsampler import _moments
 from blsampler.errors import SizeCapError
+from reference import moment_weights
 
 
 def _brute_multiply(poly: dict, form) -> dict:
@@ -70,7 +71,7 @@ def test_compositions_match_recursive_reference(n_vars):
 def test_ensure_refuses_degrees_past_the_double_factorials():
     tabs = _moments.MomentTables(1)
     tabs.ensure(257)  # the even row 256 reads the last entry, 255!!
-    assert np.isfinite(tabs.weights(256)).all()
+    assert np.isfinite(tabs.moment(np.ones(1), 256))
     with pytest.raises(SizeCapError):
         tabs.ensure(258)
     assert tabs.size(257) == 1  # the refusal leaves the tables intact
@@ -128,7 +129,7 @@ def test_moment_via_weights_accessor():
     for degree in [2, 4, 8]:
         coeffs = rng.normal(size=tabs.size(degree)) + 0j
         assert tabs.moment(coeffs, degree) == pytest.approx(
-            complex(tabs.weights(degree) @ coeffs)
+            complex(moment_weights(tabs, degree) @ coeffs)
         )
 
 
@@ -141,7 +142,7 @@ def test_gram_holds_the_weight_of_each_exponent_sum(n_vars):
             v = _recursive_compositions(deg_v, n_vars)
             sums = _recursive_compositions(deg_u + deg_v, n_vars)
             row = {tuple(s): k for k, s in enumerate(sums.tolist())}
-            w = tabs.weights(deg_u + deg_v)
+            w = moment_weights(tabs, deg_u + deg_v)
             want = np.array(
                 [[w[row[tuple((a + b).tolist())]] for b in v] for a in u]
             ).reshape(u.shape[0], v.shape[0])

@@ -19,7 +19,6 @@ from blsampler import (
     source_columns,
     empirical_distribution,
     enumerate_gbs_distribution,
-    marginal_prob,
     product_distribution,
     quad_to_complex,
     reduce_complex,
@@ -28,18 +27,19 @@ from blsampler import (
     truncation_threshold,
     tvd,
 )
+from blsampler.chainrule import MAX_SAMPLE_RESTARTS
 from blsampler.diagnostics import Distribution
 from blsampler.errors import SamplingError, SizeCapError
 from blsampler.gaussian import a_matrix
 from blsampler.kernels import LOW_RANK_COLUMN_CAP, hafnian_general
 from blsampler.lattice import MAX_MODE_CELLS
 from blsampler.samplers import (
-    MAX_SAMPLE_RESTARTS,
     _block_total_law,
     _inverse_cdf,
     _pair_quantile,
     _sech2,
 )
+from reference import marginal_prob
 
 
 def _pure_sigma(dim, n_sources, edge, depth, r, seed):
