@@ -722,7 +722,6 @@ def theorem_bound_report(
         exact_mass = _canonical_sum(p)
         np.subtract(p, q, out=p)  # p is summed: |p - q| takes its buffer
         tvd_table = 0.5 * _canonical_sum(np.abs(p, out=p), in_place=True)
-        del p  # summed twice: only q is left to read
         approx_mass = _canonical_sum(q, in_place=True)
         report.update(exact_mass=exact_mass, approx_mass=approx_mass, tvd_table=tvd_table,
                       tvd_upper=tvd_table + _tail_slop(exact_mass, approx_mass))
