@@ -126,7 +126,7 @@ class Distribution:
 
     @property
     def mass(self) -> float:
-        return _canonical_sum(self.probs)
+        return _canonical_sum(self.probs[self.probs != 0])
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return {
@@ -135,17 +135,13 @@ class Distribution:
         }
 
 
-def _canonical_sum(v: np.ndarray, in_place: bool = False) -> float:
-    """Sum of the nonzero entries in ascending order: it depends only on
-    their multiset, so row order and zero rows cannot change its bits.
-    ``in_place`` sorts a non-negative ``v`` itself and sums past its zeros,
-    with no copy."""
-    if in_place:
-        v.sort()
-        return float(v[v.searchsorted(0.0, "right"):].sum())
-    nonzero = v[v != 0]  # a copy, sorted in place
-    nonzero.sort()
-    return float(nonzero.sum())
+def _canonical_sum(v: np.ndarray) -> float:
+    """Sum of the nonzero entries of a non-negative ``v`` in ascending
+    order: it depends only on their multiset, so row order and zero rows
+    cannot change its bits.  ``v`` is sorted in place; a caller that keeps
+    its array passes a copy."""
+    v.sort()
+    return float(v[v.searchsorted(0.0, "right"):].sum())
 
 
 def tvd(d1: Distribution, d2: Distribution) -> float:
@@ -719,10 +715,10 @@ def theorem_bound_report(
         budget = min(int(policy.n_total_max), enumerate_budget_cap)
         clamped = TruncationPolicy(policy.epsilon, budget)
         p, q = _exact_and_block_product(quad_to_complex(v_out), blocks, clamped)
-        exact_mass = _canonical_sum(p)
+        exact_mass = _canonical_sum(p[p != 0])
         np.subtract(p, q, out=p)  # p is summed: |p - q| takes its buffer
-        tvd_table = 0.5 * _canonical_sum(np.abs(p, out=p), in_place=True)
-        approx_mass = _canonical_sum(q, in_place=True)
+        tvd_table = 0.5 * _canonical_sum(np.abs(p, out=p))
+        approx_mass = _canonical_sum(q)
         report.update(exact_mass=exact_mass, approx_mass=approx_mass, tvd_table=tvd_table,
                       tvd_upper=tvd_table + _tail_slop(exact_mass, approx_mass))
     return report

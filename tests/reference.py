@@ -9,7 +9,7 @@ import numpy as np
 from blsampler import _moments
 from blsampler.chainrule import _hafnian_factor, _sweep
 from blsampler.errors import SizeCapError
-from blsampler.gaussian import ComplexCovariance, QuadCovariance
+from blsampler.gaussian import ComplexCovariance, QuadCovariance, _quad_indices
 from blsampler.kernels import HAFNIAN_DIM_CAP
 from blsampler.lattice import _gate_coefficients
 
@@ -52,18 +52,12 @@ def beam_splitter_unitary(theta: float, phi: float) -> np.ndarray:
 
 def reduce_quad(cov: QuadCovariance, modes) -> QuadCovariance:
     """Restrict to a mode subset (partial trace of the rest)."""
-    modes = np.asarray(modes, dtype=int)
-    qidx = np.stack([2 * modes, 2 * modes + 1], axis=1).ravel()
+    qidx = _quad_indices(modes)
     return QuadCovariance(cov.matrix[np.ix_(qidx, qidx)])
 
 
 def moment_weights(tabs: _moments.MomentTables, degree: int) -> np.ndarray:
-    """``E[z^c]`` of each exponent vector ``c`` of ``degree``, in ``tabs``'
-    row order: the product of ``(c_r - 1)!!``, zero when some ``c_r`` is
-    odd.  The tables hold the same products, multiplied the same way."""
-    tabs.ensure(degree)  # the tables' own degree cap
-    comps = _moments._compositions(degree, tabs.n_vars)
-    even = (comps % 2 == 0).all(axis=1)
-    weights = np.zeros(comps.shape[0])
-    weights[even] = np.prod(_moments._ODD_DFACT[comps[even] // 2], axis=1)
-    return weights
+    """The tables' own Gaussian-moment weight vector for homogeneous
+    ``degree``: ``E[z^c]`` of each exponent vector ``c``, in row order."""
+    tabs.ensure(degree)
+    return tabs._weights[degree]

@@ -844,15 +844,19 @@ def test_theorem_bound_report_peak_holds_no_count_table():
     assert peak < 18e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
-def test_in_place_canonical_sum_keeps_the_bits():
-    # the bounds report sums |p - q| and q by sorting them in place; that
-    # must give the masked copy's bits at any length and share of zeros
+def test_canonical_sum_is_the_sorted_sum_of_the_nonzero_entries():
+    # sorting in place and summing past the zeros gives the bits of the
+    # ascending sum of a masked copy, whatever the order, length and share
+    # of zeros, and stays within rounding of the exact sum
     rng = np.random.default_rng(26)
     for n in (0, 1, 7, 8, 9, 127, 128, 129, 1000, 8191, 8193, 100_000):
         for zeros in (0.0, 0.5, 1.0):
             v = rng.exponential(size=n) * 10.0 ** rng.integers(-12, 1, n)
             v[rng.random(n) < zeros] = 0.0
-            assert _canonical_sum(v.copy(), in_place=True) == _canonical_sum(v), (n, zeros)
+            want = float(np.sort(v[v != 0]).sum())
+            assert _canonical_sum(rng.permutation(v)) == want, (n, zeros)
+            assert _canonical_sum(np.r_[v, 0.0, 0.0]) == want, (n, zeros)
+            assert want == pytest.approx(math.fsum(v), rel=1e-12, abs=0.0)
 
 
 def test_theorem_bound_report_does_not_depend_on_the_table_cache(monkeypatch):

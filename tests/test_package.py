@@ -68,7 +68,7 @@ def test_importing_the_package_loads_none_of_its_modules():
 
 
 _FAST_ONLY = {"blsampler.diagnostics", "blsampler.gaussian", "blsampler.kernels",
-              "blsampler._moments", "blsampler.chainrule", "logging"}
+              "blsampler._moments", "blsampler.chainrule", "logging", "csv"}
 
 
 @pytest.mark.parametrize("mode, unloaded", [("sample-approx", _FAST_ONLY),
