@@ -3,10 +3,9 @@
 For shallow circuits each source's light cone stays inside its own
 sublattice, so the state factorizes across blocks and each block sees a
 single squeezer.  That makes each block a closed form: the squeezer emits
-``2K`` photons with ``K ~ NegBin(1/2, sech^2 r)``, each lands in the block
-with its share ``q`` of the source column ``|U[:, s]|^2``, so the block's
-photon total is drawn from the coefficients of ``(c0 + c1 z + c2 z^2)^(-1/2)``
-and its photons are placed by ``|U[j, s]|^2 / q``.  No hafnian is needed,
+``2K`` photons with ``K ~ NegBin(1/2, sech^2 r)``, and each lands on mode
+``j`` of the block with probability ``|U[j, s]|^2`` or leaves it with what
+is left of the source column.  No hafnian is needed,
 and the cost grows linearly in the number of blocks.  Here we run 512
 modes at depth 64 and watch the wall clock, then shrink the instance to
 where exact enumeration works and confirm the two samplers agree inside

@@ -241,7 +241,7 @@ def validate(args) -> tuple[dict, list[str]]:
         gamma_scale=lattice.gamma_scale,
     )
     if squeezing is not None:
-        ceiling = None  # the block laws' cells, truncation_threshold's default
+        ceiling = None  # N (B + 2) within MAX_MODE_CELLS, truncation_threshold's default
         if mode == "sample-exact":
             # the engine's rank-4 moment tables hold comb(2B + 4, 4) entries
             # and stop at degree 2B = 256

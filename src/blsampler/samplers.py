@@ -3,19 +3,15 @@ hafnian (the exact chain-rule engine is :mod:`blsampler.chainrule`):
 
 * :class:`BlockApproxSampler` — the block approximation in closed form.
   A block sees one squeezer, which emits ``2K`` photons (``K ~ NegBin(1/2,
-  sech^2 r)``) that each land in the block with its share ``q = sum_{j in
-  block} |U[j, s]|^2`` of the source column.  The block total therefore
-  has generating function ``sech r (c0 + c1 z + c2 z^2)^(-1/2)`` with
-  ``t = tanh^2 r``, ``c0 = 1 - t (1-q)^2``, ``c1 = -2 t q (1-q)``, ``c2 =
-  -t q^2``; given the total, photons land independently by ``|U[j, s]|^2
-  / q``.
+  sech^2 r)``); each photon lands on mode ``j`` of the block with
+  probability ``|U[j, s]|^2`` and leaves the block otherwise.
 * :class:`DistinguishableFockSampler` — photons tracked one at a time
   through ``|U|^2`` columns; binning the independently drawn output modes
   realizes the permutation-symmetrized distinguishable distribution
   without computing any permanent.
 
-Photon totals are capped by a :class:`TruncationPolicy` and the laws
-renormalized over the allowed window.
+Photon totals are capped by a :class:`TruncationPolicy`: a block draw past
+the cap is redrawn, which conditions its law on the allowed window.
 """
 
 from __future__ import annotations
@@ -81,10 +77,11 @@ def truncation_threshold(
     table (N=2, r=0.5, 44 photons) with untruncated moments to 1e-9; it goes
     once that check allows for the dropped mass (ROADMAP item 1).
 
-    ``max_photons`` caps the budget; by default the ``N (budget + 2)`` cells
-    of the block sampler's laws stay within ``MAX_MODE_CELLS``.  A budget
-    past the cap raises :class:`SizeCapError`.  The tail at the cap decides
-    that first, so a refusal costs one tail evaluation.
+    ``max_photons`` caps the budget; by default ``N (budget + 2)`` stays
+    within ``MAX_MODE_CELLS``, and with it the ``2K`` landings per block of a
+    block-sampler draw (at most the budget but for a tail below epsilon).
+    A budget past the cap raises :class:`SizeCapError`.  The tail at the cap
+    decides that first, so a refusal costs one tail evaluation.
     """
     if n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
@@ -173,13 +170,16 @@ def _sech2(squeezing: float) -> float:
 class BlockApproxSampler:
     """Samples the block-diagonal approximate state, block by block.
 
-    Block ``b`` keeps only its own source ``s``: its photon total comes from
-    the closed-form law (module docstring) conditioned on ``n_total_max``,
-    and the photons land by ``|U[j, s]|^2 / q`` over its modes, each draw
-    one binary search over a cumulative array built once.  The total budget
-    caps each block's total, so no mode can exceed it.  Only the source
-    columns of ``U`` are used; ``blocks`` (from ``block_approx_covariance``)
-    lends its columns, so both forms draw identical samples.
+    Block ``b`` keeps only its own source ``s``, which emits ``2K`` photons,
+    ``K`` read off its pmf by inverse CDF.  Each photon takes one binary
+    search over the block's cumulative ``|U[j, s]|^2`` and a last, leaked
+    cell of weight ``1 - q``, where ``q`` is the block's share of the column;
+    photons in that cell are dropped.  A draw whose block total exceeds
+    ``n_total_max`` is redrawn, so no mode can exceed the budget.  Only the
+    source columns of ``U`` are used; ``blocks`` (from
+    ``block_approx_covariance``) lends its columns, so both forms draw
+    identical samples.  A draw costs O(K): at ``r = 7`` a block draw takes
+    tens of milliseconds.
     """
 
     def __init__(
@@ -194,42 +194,40 @@ class BlockApproxSampler:
             raise ValueError("lattice is not the one the circuit was built on")
         columns = source_columns(circuit) if blocks is None else blocks.columns
         self.lattice = lattice
+        self._n_max = policy.n_total_max
+        self._sech = math.sqrt(_sech2(squeezing))
+        self._t = math.tanh(squeezing) ** 2
         self._blocks = []
         for b, modes in enumerate(lattice.sublattices):
             route = np.cumsum(np.abs(columns[modes, b]) ** 2)
-            q = min(float(route[-1]), 1.0)  # rounding can push the share past one
-            law = _block_total_law(squeezing, q, policy.n_total_max)
-            self._blocks.append((modes, np.cumsum(law), route))
+            # rounding can push the share q past one: the leaked cell is then empty
+            self._blocks.append((modes, np.append(route, max(route[-1], 1.0))))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         out = np.zeros(self.lattice.n_modes, dtype=int)
-        for modes, law, route in self._blocks:
-            n = int(_inverse_cdf(law, rng.random()))
-            if n:  # rng.random(0) consumes no state: skipping it keeps the stream
-                landed = _inverse_cdf(route, rng.random(n))
-                out[modes] = np.bincount(landed, minlength=modes.size)
+        for modes, route in self._blocks:
+            # K = 0 draws no landings: rng.random(0) would consume no state either
+            while k := self._pairs(rng.random()):
+                landed = _inverse_cdf(route, rng.random(2 * k))
+                # the last cell holds the photons that left the block
+                counts = np.bincount(landed, minlength=route.size)[:-1]
+                if counts.sum() <= self._n_max:  # else redraw
+                    out[modes] = counts
+                    break
         return out
 
-
-def _block_total_law(squeezing: float, q: float, n_max: int) -> np.ndarray:
-    """``a_0..a_{n_max}`` of ``f = P^(-1/2)``, ``P = c0 + c1 z + c2 z^2``, normalized.
-
-    ``2 P f' + P' f = 0`` gives ``2 c0 (n+1) a_{n+1} = -c1 (2n+1) a_n - 2 c2
-    n a_{n-1}``, all terms non-negative.  ``c0`` is written as ``sech^2 r +
-    t q (2-q)`` to stay positive when ``t`` rounds to one; ``q = 0`` is a
-    point mass at zero.  A float ``q`` keeps the loop off numpy scalars.
-    """
-    t = math.tanh(squeezing) ** 2
-    c0 = _sech2(squeezing) + t * q * (2.0 - q)
-    c1 = -2.0 * t * q * (1.0 - q)
-    c2 = -t * q * q
-    a = np.zeros(n_max + 2)  # the zero past a_{n_max} keeps the sum's pairwise grouping
-    a[0] = a_n = 1.0
-    a_prev = 0.0  # a_{-1}
-    for n in range(n_max if q > 0.0 else 0):
-        a_n, a_prev = -(c1 * (2 * n + 1) * a_n + 2 * c2 * n * a_prev) / (2 * c0 * (n + 1)), a_n
-        a[n + 1] = a_n
-    return a[:-1] / a.sum()
+    def _pairs(self, u: float) -> int:
+        """The pair count ``K ~ NegBin(1/2, sech^2 r)`` at the uniform ``u``:
+        the first ``k`` whose cumulative pmf exceeds ``u``, walking ``p_0 =
+        sech r``, ``p_{k+1} = p_k tanh^2 r (k + 1/2) / (k + 1)``.  Should the
+        sum stop growing below ``u``, the walk stops there."""
+        k, p = 0, self._sech
+        cdf = p
+        while cdf <= u and cdf + p != cdf:
+            p *= self._t * (k + 0.5) / (k + 1)
+            k += 1
+            cdf += p
+        return k
 
 
 def _inverse_cdf(cdf: np.ndarray, u: float | np.ndarray):

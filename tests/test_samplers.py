@@ -33,12 +33,7 @@ from blsampler.errors import SamplingError, SizeCapError
 from blsampler.gaussian import a_matrix
 from blsampler.kernels import LOW_RANK_COLUMN_CAP, hafnian_general
 from blsampler.lattice import MAX_MODE_CELLS
-from blsampler.samplers import (
-    _block_total_law,
-    _inverse_cdf,
-    _pair_quantile,
-    _sech2,
-)
+from blsampler.samplers import _inverse_cdf, _pair_quantile, _sech2
 from reference import marginal_prob
 
 
@@ -90,7 +85,7 @@ def test_photon_budget_is_the_exact_pair_quantile_floored(n_sources):
             assert _pair_tail_oracle(k - 1, n_sources, sech2) > eps, (r, eps)
         floor = math.ceil(max(2 * sech2 * math.log(1 / eps), 4 * n_sources * sech2))
         budget = 2 * max(k, floor)
-        if n_sources * (budget + 2) > MAX_MODE_CELLS:  # the block laws' cells
+        if n_sources * (budget + 2) > MAX_MODE_CELLS:  # the budget's cap
             with pytest.raises(SizeCapError, match="photon budget above"):
                 truncation_threshold(n_sources, r, eps)
         else:
@@ -121,7 +116,7 @@ def test_block_laws_keep_all_but_epsilon_at_the_budget():
         for b, modes in enumerate(lat.sublattices):
             q = float(np.sum(np.abs(columns[modes, b]) ** 2))
             assert 0.0 < q <= 1.0 + 1e-12
-            law = _block_total_law(1.0, min(q, 1.0), 200)  # mass past 200 < 1e-20
+            law = _array_block_total_law(1.0, min(q, 1.0), 200)  # mass past 200 < 1e-20
             kept.append((cap, law[: cap + 1].sum()))
     assert min(m for cap, m in kept if cap == budget) >= 1 - 1e-6
     assert min(m for cap, m in kept if cap == 24) < 1 - 1e-6
@@ -460,7 +455,7 @@ def test_block_total_law_matches_enumerated_block_marginal(seed, r):
         oracle = np.bincount(
             table.counts.sum(axis=1), weights=table.probs, minlength=policy.n_total_max + 1
         )
-        law = _block_total_law(r, q, policy.n_total_max)
+        law = _array_block_total_law(r, q, policy.n_total_max)
         assert np.abs(law - oracle).max() < 1e-12
 
 
@@ -489,6 +484,63 @@ def test_block_sampler_matches_product_of_block_tables(seed, r, policy):
     assert distance <= floor, (distance, floor)
 
 
+def _block_totals(sampler, block, n, rng):
+    modes = sampler.lattice.sublattices[block]
+    return np.array([sampler.sample(rng)[modes].sum() for _ in range(n)])
+
+
+def _within_null_floor(totals, law, rng):
+    """TVD of the drawn totals from ``law`` against the same statistic on
+    40 batches drawn from ``law`` itself (mean + 6 sd)."""
+    def distance(draws):
+        return 0.5 * np.abs(np.bincount(draws, minlength=law.size) / draws.size - law).sum()
+
+    null = [distance(rng.choice(law.size, size=totals.size, p=law)) for _ in range(40)]
+    return distance(totals) <= np.mean(null) + 6.0 * np.std(null)
+
+
+@pytest.mark.parametrize(
+    "r, block, policy",
+    [
+        (1.0, 1, truncation_threshold(2, 1.0, 1e-6)),  # leaky: q = 0.31
+        (2.5, 0, truncation_threshold(2, 2.5, 1e-6)),  # bright: q = 0.85
+        (2.5, 0, TruncationPolicy(1e-6, 40)),  # a budget that redraws a quarter of the draws
+    ],
+    ids=["leaky", "bright", "bright-capped"],
+)
+def test_block_totals_follow_the_block_law(r, block, policy):
+    lat = build_lattice(1, 2, 3)
+    circ = sample_random_circuit(lat, 6, np.random.default_rng(19))
+    sampler = BlockApproxSampler(circ, lat, r, policy)
+    modes, cells = sampler._blocks[block]
+    q = float(cells[-2])
+    assert abs(q - (0.31 if block else 0.85)) < 0.01
+    law = _array_block_total_law(r, q, policy.n_total_max)
+    n = 3000
+    totals = _block_totals(sampler, block, n, np.random.default_rng([19, 1]))
+    assert _within_null_floor(totals, law, np.random.default_rng([19, 2]))
+    # a sampler without the leaked cell lands all 2K photons in the block
+    sampler._blocks[block] = (modes, np.append(cells[:-1], q))
+    totals = _block_totals(sampler, block, n, np.random.default_rng([19, 1]))
+    assert not _within_null_floor(totals, law, np.random.default_rng([19, 2]))
+
+
+def test_block_sampler_set_up_does_not_grow_with_the_budget():
+    # one source at r = 5, a budget of 131,762 photons: a set-up that
+    # tabulated the block law up to the budget would hold about 2 MiB
+    lat = build_lattice(1, 1, 2)
+    circ = sample_random_circuit(lat, 2, np.random.default_rng(35))
+    policy = truncation_threshold(1, 5.0, 1e-6)
+    assert policy.n_total_max == 131_762
+    tracemalloc.start()
+    try:
+        BlockApproxSampler(circ, lat, 5.0, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_block_sampler_in_cone_matches_exact_sampler_statistics():
     # depth 2 keeps blocks independent, so both samplers draw from the
     # same distribution; compare low-order moments
@@ -512,8 +564,8 @@ def test_block_sampler_in_cone_matches_exact_sampler_statistics():
 
 # ------------------------------------------------------- draws and laws
 #
-# The references below are the dense forms the binary searches and the
-# float recurrence replaced; every sampler must draw exactly what they draw.
+# The references below draw by dense counts over arrays built up front;
+# every sampler must draw exactly what they draw.
 
 
 def _dense_inverse_cdf(cdf, u):
@@ -523,7 +575,15 @@ def _dense_inverse_cdf(cdf, u):
 
 
 def _array_block_total_law(squeezing, q, n_max):
-    """Reference: the recurrence of :func:`_block_total_law` read back from the array."""
+    """Oracle: the law of a block's photon total, normalized over ``n <= n_max``.
+
+    A squeezer's ``2K`` photons, each kept with probability ``q``, give the
+    total the generating function ``sech r (c0 + c1 z + c2 z^2)^(-1/2)``:
+    ``t = tanh^2 r``, ``c0 = 1 - t (1-q)^2`` (written ``sech^2 r + t q (2-q)``
+    to stay positive when ``t`` rounds to one), ``c1 = -2 t q (1-q)``, ``c2 =
+    -t q^2``.  ``2 P f' + P' f = 0`` for ``f = P^(-1/2)`` gives ``2 c0 (n+1)
+    a_{n+1} = -c1 (2n+1) a_n - 2 c2 n a_{n-1}``, all terms non-negative.
+    """
     t = math.tanh(squeezing) ** 2
     c0 = _sech2(squeezing) + t * q * (2.0 - q)
     c1 = -2.0 * t * q * (1.0 - q)
@@ -559,29 +619,69 @@ def test_inverse_cdf_matches_the_dense_count():
             assert _inverse_cdf(cdf, float(u)) == _dense_inverse_cdf(cdf[:, None], u)[0]
 
 
-def test_block_total_law_matches_the_array_recurrence_bit_for_bit():
-    for r in (0.1, 0.5, 1.0, 5.0):
-        for q in (0.0, 0.3, 0.9, 0.99, 1.0):
-            for n_max in (0, 1, 2, 9, 130, 1001):
-                want = _array_block_total_law(r, q, n_max)
-                assert _block_total_law(r, q, n_max).tobytes() == want.tobytes()
-    assert (_block_total_law(5.0, 0.9, 131_762).tobytes()
-            == _array_block_total_law(5.0, 0.9, 131_762).tobytes())
+def _pair_pmf(r, length):
+    """``P(K = k)``, ``k < length``, for ``K ~ NegBin(1/2, sech^2 r)``: the
+    products of ``p_0 = sech r`` and the ratios ``tanh^2 r (k + 1/2)/(k + 1)``."""
+    k = np.arange(length - 1)
+    ratios = math.tanh(r) ** 2 * (k + 0.5) / (k + 1)
+    return np.cumprod(np.concatenate([[math.sqrt(_sech2(r))], ratios]))
+
+
+def test_thinned_pairs_sum_to_the_block_total_law():
+    # sum_K P(K) Binom(2K, q)(n) over n <= n_max, against the recurrence:
+    # the block draw (2K photons, each kept with q) is the block's law
+    for r in (0.1, 0.5, 1.0, 2.0):
+        n_max = truncation_threshold(1, r, 1e-6).n_total_max
+        pairs = _pair_pmf(r, 4000)
+        assert pairs[-1] < 1e-100
+        for q in (0.0, 0.3, 0.9, 0.999, 1.0):
+            binom = np.zeros(n_max + 1)  # Binom(m, q)(n) for n <= n_max, from m = 0
+            binom[0] = 1.0
+            total = np.zeros(n_max + 1)
+            for m in range(2 * pairs.size):
+                if m % 2 == 0:
+                    total += pairs[m // 2] * binom
+                binom[1:] = binom[1:] * (1.0 - q) + binom[:-1] * q
+                binom[0] *= 1.0 - q
+            want = _array_block_total_law(r, q, n_max)
+            assert np.abs(total / total.sum() - want).max() <= 1e-15, (r, q)
+
+
+def test_pair_walk_ends_where_its_sum_stops_growing():
+    # the summed pmf stalls below the largest uniform (3.6e-13 below one at
+    # r = 5); a walk past that point would run until the terms underflow to
+    # zero and then forever
+    lat = build_lattice(1, 1, 2)
+    circ = sample_random_circuit(lat, 2, np.random.default_rng(35))
+    u = np.nextafter(1.0, 0.0)
+    for r in (2.5, 5.0):
+        k = BlockApproxSampler(circ, lat, r, TruncationPolicy(1e-6, 10))._pairs(u)
+        cdf = np.cumsum(_pair_pmf(r, 10**6))
+        assert cdf[-1] <= u and k < cdf.size
+        # one term past the sum's last growth
+        assert (cdf[k - 1:] == cdf[k]).all() and cdf[k - 2] < cdf[k]
 
 
 def _dense_block_draws(circ, lat, r, policy):
+    """Reference: ``K`` off a cumulative pmf built up front, then dense
+    landings over each block's route and its leaked cell, redrawn past the
+    budget."""
+    pairs = np.cumsum(_pair_pmf(r, 2 * policy.n_total_max + 2))[:, None]
     blocks = []
     for b, modes in enumerate(lat.sublattices):
-        route = np.cumsum(np.abs(source_columns(circ)[modes, b, None]) ** 2, axis=0)
-        law = _block_total_law(r, min(route[-1, 0], 1.0), policy.n_total_max)
-        blocks.append((modes, np.cumsum(law)[:, None], route))
+        route = np.cumsum(np.abs(source_columns(circ)[modes, b]) ** 2)
+        cells = np.append(route, max(route[-1], 1.0))[:, None]
+        blocks.append((modes, cells))
 
     def draw(rng):
         out = np.zeros(lat.n_modes, dtype=int)
-        for modes, law, route in blocks:
-            n = int(_dense_inverse_cdf(law, rng.random(1))[0])
-            out[modes] = np.bincount(_dense_inverse_cdf(route, rng.random(n)),
-                                     minlength=modes.size)
+        for modes, cells in blocks:
+            while k := int((pairs[:, 0] <= rng.random(1)[0]).sum()):
+                landed = np.bincount(_dense_inverse_cdf(cells, rng.random(2 * k)),
+                                     minlength=cells.shape[0])[:-1]
+                if landed.sum() <= policy.n_total_max:
+                    out[modes] = landed
+                    break
         return out
 
     return draw
