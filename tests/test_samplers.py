@@ -500,27 +500,26 @@ def _within_null_floor(totals, law, rng):
 
 
 @pytest.mark.parametrize(
-    "r, block, policy",
+    "r, block, q, policy",
     [
-        (1.0, 1, truncation_threshold(2, 1.0, 1e-6)),  # leaky: q = 0.31
-        (2.5, 0, truncation_threshold(2, 2.5, 1e-6)),  # bright: q = 0.85
-        (2.5, 0, TruncationPolicy(1e-6, 40)),  # a budget that redraws a quarter of the draws
+        (1.0, 1, 0.31, truncation_threshold(2, 1.0, 1e-6)),
+        (2.5, 0, 0.85, truncation_threshold(2, 2.5, 1e-6)),
+        (2.5, 0, 0.85, TruncationPolicy(1e-6, 40)),  # redraws a quarter of the draws
     ],
     ids=["leaky", "bright", "bright-capped"],
 )
-def test_block_totals_follow_the_block_law(r, block, policy):
+def test_block_totals_follow_the_block_law(r, block, q, policy):
     lat = build_lattice(1, 2, 3)
     circ = sample_random_circuit(lat, 6, np.random.default_rng(19))
     sampler = BlockApproxSampler(circ, lat, r, policy)
     modes, cells = sampler._blocks[block]
-    q = float(cells[-2])
-    assert abs(q - (0.31 if block else 0.85)) < 0.01
-    law = _array_block_total_law(r, q, policy.n_total_max)
+    assert abs(cells[-2] - q) < 0.01  # the block's share of its column
+    law = _array_block_total_law(r, float(cells[-2]), policy.n_total_max)
     n = 3000
     totals = _block_totals(sampler, block, n, np.random.default_rng([19, 1]))
     assert _within_null_floor(totals, law, np.random.default_rng([19, 2]))
     # a sampler without the leaked cell lands all 2K photons in the block
-    sampler._blocks[block] = (modes, np.append(cells[:-1], q))
+    sampler._blocks[block] = (modes, np.append(cells[:-1], cells[-2]))
     totals = _block_totals(sampler, block, n, np.random.default_rng([19, 1]))
     assert not _within_null_floor(totals, law, np.random.default_rng([19, 2]))
 
@@ -666,7 +665,7 @@ def _dense_block_draws(circ, lat, r, policy):
     """Reference: ``K`` off a cumulative pmf built up front, then dense
     landings over each block's route and its leaked cell, redrawn past the
     budget."""
-    pairs = np.cumsum(_pair_pmf(r, 2 * policy.n_total_max + 2))[:, None]
+    pairs = np.cumsum(_pair_pmf(r, 2 * policy.n_total_max + 2))
     blocks = []
     for b, modes in enumerate(lat.sublattices):
         route = np.cumsum(np.abs(source_columns(circ)[modes, b]) ** 2)
@@ -676,7 +675,7 @@ def _dense_block_draws(circ, lat, r, policy):
     def draw(rng):
         out = np.zeros(lat.n_modes, dtype=int)
         for modes, cells in blocks:
-            while k := int((pairs[:, 0] <= rng.random(1)[0]).sum()):
+            while k := int((pairs <= rng.random(1)[0]).sum()):
                 landed = np.bincount(_dense_inverse_cdf(cells, rng.random(2 * k)),
                                      minlength=cells.shape[0])[:-1]
                 if landed.sum() <= policy.n_total_max:
