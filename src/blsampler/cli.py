@@ -45,6 +45,7 @@ from .samplers import (
     BlockApproxSampler,
     DistinguishableFockSampler,
     TruncationPolicy,
+    check_block_draws,
     truncation_threshold,
 )
 
@@ -247,6 +248,8 @@ def validate(args) -> tuple[dict, list[str]]:
             # and stop at degree 2B = 256
             ceiling = max(b for b in range(129) if math.comb(2 * b + 4, 4) <= MAX_MODE_CELLS)
         policy = truncation_threshold(config["n_sources"], squeezing, epsilon, ceiling)
+        if mode == "sample-approx":  # its draws land 2K photons whatever the budget
+            check_block_draws(config["n_sources"], squeezing, policy)
         config.update(
             n_total_max=policy.n_total_max, n_mode_max=policy.n_mode_max
         )

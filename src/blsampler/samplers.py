@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "TruncationPolicy",
     "truncation_threshold",
+    "check_block_draws",
     "BlockApproxSampler",
     "DistinguishableFockSampler",
     "distinguishable_fock_sample",
@@ -78,10 +79,9 @@ def truncation_threshold(
     once that check allows for the dropped mass (ROADMAP item 1).
 
     ``max_photons`` caps the budget; by default ``N (budget + 2)`` stays
-    within ``MAX_MODE_CELLS``, and with it the ``2K`` landings per block of a
-    block-sampler draw (at most the budget but for a tail below epsilon).
-    A budget past the cap raises :class:`SizeCapError`.  The tail at the cap
-    decides that first, so a refusal costs one tail evaluation.
+    within ``MAX_MODE_CELLS``.  A budget past the cap raises
+    :class:`SizeCapError`.  The tail at the cap decides that first, so a
+    refusal costs one tail evaluation.
     """
     if n_sources < 1:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
@@ -102,6 +102,22 @@ def truncation_threshold(
             f"to keep the dropped mass below epsilon {epsilon}"
         )
     return TruncationPolicy(epsilon=epsilon, n_total_max=2 * pairs)
+
+
+def check_block_draws(n_sources: int, squeezing: float, policy: TruncationPolicy) -> None:
+    """Refuse (:class:`SizeCapError`) a budget whose block draws could pass the
+    default cap of :func:`truncation_threshold`.  A draw lands ``2K`` photons
+    whatever the budget and is redrawn while its block total passes it, so
+    both ``2K`` (but for a tail of ``min(epsilon, 1e-6)``) and ``E[2K] = sinh^2
+    r`` times the expected draws, at most ``1 / P(K <= n_total_max / 2)``, must
+    stay within the cap.  No budget set at ``epsilon <= 1e-6`` is refused."""
+    cap, sech2 = max(MAX_MODE_CELLS // n_sources - 2, 0), _sech2(squeezing)
+    accept = 1.0 - _pair_tail(policy.n_total_max // 2, 0.5, sech2)
+    # sinh^2 r > cap P as 1 - sech^2 r > cap sech^2 r P, which cannot overflow
+    if (_pair_tail(cap // 2, 0.5, sech2) > min(policy.epsilon, 1e-6)
+            or 1.0 - sech2 > cap * sech2 * accept):
+        raise SizeCapError(f"squeezing {squeezing} with a budget of {policy.n_total_max} "
+                           f"photons needs block draws past the cap of {cap} photons")
 
 
 def _pair_quantile(half_n: float, sech2: float, epsilon: float, cap: int) -> int:
@@ -178,8 +194,8 @@ class BlockApproxSampler:
     ``n_total_max`` is redrawn, so no mode can exceed the budget.  Only the
     source columns of ``U`` are used; ``blocks`` (from
     ``block_approx_covariance``) lends its columns, so both forms draw
-    identical samples.  A draw costs O(K): at ``r = 7`` a block draw takes
-    tens of milliseconds.
+    identical samples.  A draw costs O(K), about ``sinh^2 r`` steps; a budget
+    whose draws could pass the photon cap is refused (``check_block_draws``).
     """
 
     def __init__(
@@ -192,6 +208,7 @@ class BlockApproxSampler:
     ):
         if lattice is not circuit.lattice:
             raise ValueError("lattice is not the one the circuit was built on")
+        check_block_draws(lattice.n_sources, squeezing, policy)
         columns = source_columns(circuit) if blocks is None else blocks.columns
         self.lattice = lattice
         self._n_max = policy.n_total_max

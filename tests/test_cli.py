@@ -711,6 +711,25 @@ def test_budget_past_its_cap_is_refused_in_validate(tmp_path, capsys, mode):
         assert not out.exists()
 
 
+def test_block_draws_past_the_cap_are_refused_in_validate(tmp_path, capsys):
+    # epsilon 0.9999 gives r = 12 a 104-photon budget, but each block draw
+    # would still land about sinh^2 r = 7e9 photons before its redraw
+    out = tmp_path / "out"
+    argv = ["--mode", "sample-approx", "--dim", "1", "--sources", "1",
+            "--sublattice-edge", "2", "--depth", "2", "--squeezing", "12",
+            "--epsilon", "0.9999", "--samples", "2", "--seed", "1", "--out", str(out)]
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="block draws past the cap"):
+        validate(_build_parser().parse_args(argv))
+    assert time.perf_counter() - start < 0.5
+    assert main(argv) == 3
+    assert _stderr_json(capsys)["error"] == "size-cap"
+    assert not out.exists()
+    # the bound report draws no pairs, so the same budget is its to take
+    config, _ = validate(_build_parser().parse_args(["--mode", "diagnose-bounds", *argv[2:]]))
+    assert config["n_total_max"] == 104
+
+
 def test_exact_budget_past_the_moment_tables_is_refused(tmp_path, capsys):
     # r = 1.45 needs 124 photons: comb(252, 4) = 1.6e8 table entries
     argv = ["--dim", "1", "--sources", "2", "--sublattice-edge", "2", "--depth", "2",

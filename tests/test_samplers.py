@@ -14,6 +14,7 @@ from blsampler import (
     TruncationPolicy,
     block_approx_covariance,
     build_lattice,
+    check_block_draws,
     distinguishable_fock_sample,
     accumulate_unitary,
     source_columns,
@@ -540,6 +541,39 @@ def test_block_sampler_set_up_does_not_grow_with_the_budget():
     assert peak < 64 * 1024
 
 
+def test_block_draws_past_the_cap_are_refused():
+    # a large epsilon sets a small budget, yet each draw still lands 2K
+    # photons and is redrawn while the block total passes the budget
+    lat = build_lattice(1, 1, 2)
+    circ = sample_random_circuit(lat, 2, np.random.default_rng(35))
+    for r, policy, refused in [
+        (12.0, truncation_threshold(1, 12.0, 0.9999), True),
+        (10.0, truncation_threshold(1, 10.0, 0.9), True),
+        # 2K's 1e-6 quantile, about 1.5e8, passes the cap of 67,108,862
+        # (the tail read is 1e-6 even at a larger epsilon)
+        (8.5, TruncationPolicy(0.5, 10**8), True),
+        # that quantile fits, but a 2-photon budget takes up to ~370 draws
+        (7.0, truncation_threshold(1, 7.0, 0.9999), True),
+        (6.8, truncation_threshold(1, 6.8, 0.9999), False),
+        (8.1, truncation_threshold(1, 8.1, 0.9), False),
+    ]:
+        if refused:
+            with pytest.raises(SizeCapError, match="block draws past the cap"):
+                check_block_draws(1, r, policy)
+            with pytest.raises(SizeCapError, match="block draws past the cap"):
+                BlockApproxSampler(circ, lat, r, policy)
+        else:
+            check_block_draws(1, r, policy)
+    # no budget that truncation_threshold sets at epsilon <= 1e-6 is refused
+    for n, r, eps in itertools.product([1, 3, 64, 2**20], np.arange(0.0, 12.0, 0.1),
+                                       [1e-12, 1e-6]):
+        try:
+            policy = truncation_threshold(n, float(r), eps)
+        except SizeCapError:
+            continue
+        check_block_draws(n, float(r), policy)
+
+
 def test_block_sampler_in_cone_matches_exact_sampler_statistics():
     # depth 2 keeps blocks independent, so both samplers draw from the
     # same distribution; compare low-order moments
@@ -716,7 +750,7 @@ def _draw_pair(name):
         return DistinguishableFockSampler(source_columns(circ), lat), _dense_fock_draw(circ, lat)
     if name == "block":
         lat, r, policy = build_lattice(1, 2, 3), 1.0, truncation_threshold(2, 1.0, 1e-6)
-    else:  # one bright source: its laws run to the budget of 131,762 photons
+    else:  # one bright source at r = 5, whose budget is 131,762 photons
         lat, r, policy = build_lattice(1, 1, 4), 5.0, truncation_threshold(1, 5.0, 1e-6)
         assert policy.n_total_max == 131_762
     circ = sample_random_circuit(lat, 6, np.random.default_rng(35))
