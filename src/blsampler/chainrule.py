@@ -25,13 +25,14 @@ import numpy as np
 
 from . import _moments
 from .errors import SamplingError, SizeCapError
-from .gaussian import ComplexCovariance, a_matrix, reduce_complex
+from .gaussian import ComplexCovariance, _logdet_q, a_matrix, reduce_complex
 from .kernels import (
     HAFNIAN_DIM_CAP,
     LOW_RANK_COLUMN_CAP,
     hafnian_general,
     takagi_factor,
 )
+from .lattice import MAX_MODE_CELLS
 from .samplers import TruncationPolicy, _inverse_cdf
 
 __all__ = ["ChainRuleEngine"]
@@ -48,12 +49,11 @@ DEGENERATE_PROB = 1e-300
 
 MAX_SAMPLE_RESTARTS = 5
 
-
-def _logdet_q(sigma: np.ndarray) -> float:
-    """``log det(Sigma + I/2)`` for a Hermitian positive-definite Q."""
-    q = sigma + np.eye(sigma.shape[0]) / 2.0
-    sign, logdet = np.linalg.slogdet(q)
-    return float(logdet)
+# The photon budget's ceiling: a sweep of a rank-4 factor to budget B reads
+# moment tables of comb(2B + 4, 4) entries, kept within MAX_MODE_CELLS, and
+# the tables stop at degree 2B = 256
+_MAX_PHOTONS = max(b for b in range(129) if math.comb(
+    2 * b + LOW_RANK_COLUMN_CAP, LOW_RANK_COLUMN_CAP) <= MAX_MODE_CELLS)
 
 
 def _factorials(counts) -> float:

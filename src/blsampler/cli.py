@@ -25,7 +25,9 @@ sampling failure.  stderr receives JSON error objects only (enabling
 ``BLS_LOG`` adds human-readable log lines).
 
 Each runner imports only what its mode runs: the fast samplers load no
-Gaussian, kernel or diagnostics module, ``sample-exact`` no diagnostics.
+Gaussian, kernel or diagnostics module, ``sample-exact`` no diagnostics,
+the ``diagnose-*`` modes no chain-rule engine, and ``kernels-selftest`` no
+Gaussian or diagnostics module.  The artifact writers live here.
 """
 
 from __future__ import annotations
@@ -222,12 +224,15 @@ def validate(args) -> tuple[dict, list[str]]:
     # before numpy's 64 axes, so the exponent stops there.
     m = config["n_sources"] * config["edge"] ** min(config["dim"], 64)
     walk = n_samples * m if mode == "diagnose-walk" else 0
+    # every mode but the walk builds the M x N source columns
+    columns = config["n_sources"] * m if mode != "diagnose-walk" else 0
     # sample-exact and diagnose-bounds build dense 2M x 2M covariances, so
     # M stops at 4096 there; ROADMAP items 1 and 2 replace this cap with
     # one set from the exact engine's real cost
     dense = (2 * m) ** 2 if mode in ("sample-exact", "diagnose-bounds") else 0
     for label, size in [("N * L^d modes", m), ("depth * M", config["depth"] * m),
                         ("samples * M walk amplitudes", walk),
+                        ("N * M source-column entries", columns),
                         ("(2M)^2 dense covariance entries", dense)]:
         if size > MAX_MODE_CELLS:
             raise SizeCapError(f"{label} exceeds the cap of {MAX_MODE_CELLS}")
@@ -242,11 +247,9 @@ def validate(args) -> tuple[dict, list[str]]:
         gamma_scale=lattice.gamma_scale,
     )
     if squeezing is not None:
-        ceiling = None  # N (B + 2) within MAX_MODE_CELLS, truncation_threshold's default
-        if mode == "sample-exact":
-            # the engine's rank-4 moment tables hold comb(2B + 4, 4) entries
-            # and stop at degree 2B = 256
-            ceiling = max(b for b in range(129) if math.comb(2 * b + 4, 4) <= MAX_MODE_CELLS)
+        ceiling = None  # truncation_threshold's default cap
+        if mode == "sample-exact":  # the engine's moment tables set its own
+            from .chainrule import _MAX_PHOTONS as ceiling
         policy = truncation_threshold(config["n_sources"], squeezing, epsilon, ceiling)
         if mode == "sample-approx":  # its draws land 2K photons whatever the budget
             check_block_draws(config["n_sources"], squeezing, policy)
@@ -273,6 +276,24 @@ def _sample_line(counts: np.ndarray, clicks: bool, sampler: str, seed: int, i: i
     parts.append(zero * (len(counts) - start))
     return (f'{{"{"clicks" if clicks else "counts"}":[{"".join(parts)[:-1]}],'
             f'"sample_id":{i},"sampler":"{sampler}","seed":{seed},"stream":{i}}}\n')
+
+
+def _write_json(path, payload) -> None:
+    """Write a report as pretty, key-sorted JSON."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, fieldnames, rows, config: dict) -> None:
+    """Write rows as CSV, preceded by a ``# config:`` comment line."""
+    import csv  # here, so that the sampling modes never load it
+
+    with open(path, "w", newline="") as fh:
+        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _embedded(config: dict, **extra) -> dict:
@@ -316,7 +337,7 @@ def _run_sampling(config: dict) -> str:
 
 
 def _run_leakage(config: dict) -> str:
-    from .diagnostics import leakage_rate, write_csv
+    from .diagnostics import leakage_rate
 
     lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     rng = np.random.default_rng([config["seed"]])
@@ -328,7 +349,7 @@ def _run_leakage(config: dict) -> str:
         row = {"circuit": index, "eta_max": report.eta_max, "bound": report.bound}
         row.update(zip(eta_cols, report.per_source_eta))
         rows.append(row)
-    write_csv(
+    _write_csv(
         config["out"],
         ["circuit", "eta_max", "bound", *eta_cols],
         rows,
@@ -338,7 +359,7 @@ def _run_leakage(config: dict) -> str:
 
 
 def _run_walk(config: dict) -> str:
-    from .diagnostics import random_walk_profile, write_csv
+    from .diagnostics import random_walk_profile
 
     profile = random_walk_profile(
         build_lattice(config["dim"], config["n_sources"], config["edge"]),
@@ -351,7 +372,7 @@ def _run_walk(config: dict) -> str:
          "stderr": profile.stderr[t, j], "theory": profile.theory[t, j]}
         for t, j in np.ndindex(profile.empirical.shape)
     ]
-    write_csv(
+    _write_csv(
         config["out"],
         ["depth", "mode", "empirical", "stderr", "theory"],
         rows,
@@ -361,7 +382,7 @@ def _run_walk(config: dict) -> str:
 
 
 def _run_bounds(config: dict) -> str:
-    from .diagnostics import theorem_bound_report, write_json
+    from .diagnostics import theorem_bound_report
 
     lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     rng = np.random.default_rng([config["seed"]])
@@ -371,17 +392,16 @@ def _run_bounds(config: dict) -> str:
         circuit = sample_random_circuit(lattice, config["depth"], rng)
         report = theorem_bound_report(circuit, config["squeezing"], policy=policy)
         reports.append({"instance": index, **report})
-    write_json(config["out"], {"config": _embedded(config), "reports": reports})
+    _write_json(config["out"], {"config": _embedded(config), "reports": reports})
     return f"evaluated {len(reports)} instances -> {config['out']}"
 
 
 def _run_selftest(config: dict) -> tuple[str, int]:
-    from .diagnostics import write_json
     from .kernels import run_selftest
 
     report = run_selftest()
     if config.get("out"):
-        write_json(config["out"], report)
+        _write_json(config["out"], report)
     n_checks = len(report["checks"])
     n_ok = sum(1 for c in report["checks"] if c["passed"])
     status = "PASS" if report["passed"] else "FAIL"

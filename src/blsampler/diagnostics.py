@@ -1,38 +1,36 @@
-"""Enumeration oracles, distribution utilities, and bound evaluators.
+"""The approximation-error chain, and the independent checks it is held to.
 
-The enumeration oracles compute *exact* probabilities for every outcome
-inside a photon budget, so that samplers and analytic bounds can be
-checked against ground truth:
+Reports, which the ``diagnose-*`` modes write: :func:`leakage_rate` (each
+source column's weight outside its home block, against
+:func:`leakage_bound`), :func:`random_walk_profile` (mean column weight
+against the averaging map), :func:`fock_error_bound`, and
+:func:`theorem_bound_report` (leakage, covariance distance, fidelity and
+distance bounds on one instance, beside the true table distance when the
+instance is small enough to enumerate).
 
-* :func:`enumerate_gbs_distribution` — photon-number distribution of a
-  Gaussian state.  Pure squeezed-input states use the thin symmetric
-  factor of the M x M pure-state block (one linear form per photon);
-  mixed states use the full 2M x 2M hafnian matrix (two forms per
-  photon); both tabulate the coefficients of each half of the modes per
-  photon total and join the halves through the moment Gram matrix, one
-  matrix product per pair of totals.  A factor wider than
-  ``LOW_RANK_COLUMN_CAP`` columns is refused; no reference-hafnian
-  fallback exists.
-* :func:`enumerate_fock_distribution` — exact single-photon-input
-  distribution via permanents (interference included).
-* :func:`enumerate_distinguishable_distribution` — the same outcomes
-  with photons treated as distinguishable (permanent of ``|U|^2``).
+Independent checks, which give ground truth for the samplers and the bounds:
 
-Distributions are stored as explicit photon-number tables (count rows +
-probabilities); threshold clicks are an output format of the CLI, not a
-table kind.  Truncated tables carry mass below one; the
-``tvd_upper_bound`` helper turns a table comparison into a rigorous
-upper bound on the true total-variation distance by charging each
-table's missing tail in full.  Sums over table rows add the nonzero
-terms in ascending order, so row order cannot move their bits, and
-:func:`theorem_bound_report` scores the block product on the pair grids.
+* :class:`Distribution` — an explicit photon-number table, count rows plus
+  probabilities; a truncated table carries mass below one.  Threshold
+  clicks are an output format of the CLI, not a table kind.
+* :func:`tvd`, and :func:`tvd_upper_bound`, which charges each table's
+  missing tail in full; :func:`empirical_distribution` and
+  :func:`product_distribution`.  Sums over table rows add the nonzero
+  terms in ascending order, so row order cannot move their bits.
+* :func:`enumerate_gbs_distribution` — a Gaussian state's table.  Pure
+  states use the thin factor of the M x M block (one linear form per
+  photon), mixed ones the full 2M x 2M hafnian matrix (two forms); each
+  half of the modes is tabled per photon total and the halves join
+  through the moment Gram matrix.  A factor wider than
+  ``LOW_RANK_COLUMN_CAP`` columns is refused.
+* :func:`enumerate_fock_distribution` and
+  :func:`enumerate_distinguishable_distribution` — single-photon inputs
+  through permanents, with and without interference.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -40,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _moments
-from .chainrule import _logdet_q
 from .errors import SizeCapError
 from .gaussian import (
     QuadCovariance,
+    _logdet_q,
     _squeezed_covariance,
     a_matrix,
     block_approx_covariance,
@@ -83,8 +81,6 @@ __all__ = [
     "FockErrorReport",
     "fock_error_bound",
     "theorem_bound_report",
-    "write_csv",
-    "write_json",
 ]
 
 logger = logging.getLogger(__name__)
@@ -609,28 +605,24 @@ def fock_error_bound(
     )
 
 
-def _block_factor(dist, modes, base: int, n_out: int, pre_n, suf_n):
+def _block_factor(dist, modes, base: int, pre_n, suf_n):
     """``factor(a, b)``: block table ``dist``'s probabilities on the join's
     ``(a, b)`` pair grid, broadcastable onto it.  A block's key (base
     ``base``, Python ints past 62 bits) is a prefix-row key plus a
-    suffix-row key, looked up dense or by binary search: once per photon
-    total of its half for a block inside one half, per cell otherwise."""
+    suffix-row key, looked up by binary search over the table's sorted
+    keys: once per photon total of its half for a block inside one half,
+    per cell otherwise."""
     h, n_modes = pre_n[0].shape[1], pre_n[0].shape[1] + suf_n[0].shape[1]
     wide = len(modes) * math.log2(base) > 62  # keys past int64 stay Python ints
     weights = np.zeros(n_modes, object if wide else np.int64)
     weights[modes] = [base**k for k in range(len(modes))]
     keys = dist.counts @ weights[modes]
-    if base ** len(modes) <= n_out:
-        dense = np.zeros(base ** len(modes))
-        dense[keys] = dist.probs
-        look = dense.__getitem__
-    else:
-        order = np.argsort(keys)
-        keys, probs = keys[order], dist.probs[order]
+    order = np.argsort(keys)
+    keys, probs = keys[order], dist.probs[order]
 
-        def look(want):
-            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-            return np.where(keys[at] == want, probs[at], 0.0)
+    def look(want):
+        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        return np.where(keys[at] == want, probs[at], 0.0)
 
     pre = [n @ weights[:h] for n in pre_n]
     suf = [n @ weights[h:] for n in suf_n]
@@ -653,7 +645,7 @@ def _exact_and_block_product(sigma, blocks, policy) -> tuple[np.ndarray, np.ndar
     factors = []
     for block, modes in zip(blocks.blocks, blocks.lattice.sublattices):
         dist = enumerate_gbs_distribution(quad_to_complex(block), policy)
-        factors.append(_block_factor(dist, modes, base, n_out, pre_n, suf_n))
+        factors.append(_block_factor(dist, modes, base, pre_n, suf_n))
     p, q = np.empty(n_out), np.ones(n_out)
     pos = 0
     for a, b, grid in grids:
@@ -722,32 +714,3 @@ def theorem_bound_report(
         report.update(exact_mass=exact_mass, approx_mass=approx_mass, tvd_table=tvd_table,
                       tvd_upper=tvd_table + _tail_slop(exact_mass, approx_mass))
     return report
-
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
-def write_json(path, payload) -> None:
-    """Write a report as pretty JSON (numpy types converted)."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
-def write_csv(path, fieldnames, rows, config: dict) -> None:
-    """Write rows as CSV, preceded by a ``# config:`` comment line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            "# config: " + json.dumps(config, sort_keys=True, default=_json_default) + "\n"
-        )
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

@@ -178,6 +178,11 @@ def a_matrix(cov: ComplexCovariance) -> AMatrix:
     return AMatrix((a + a.T) / 2.0)
 
 
+def _logdet_q(sigma: np.ndarray) -> float:
+    """``log det(Sigma + I/2)`` for a Hermitian positive-definite Q."""
+    return float(np.linalg.slogdet(sigma + np.eye(sigma.shape[0]) / 2.0)[1])
+
+
 def block_approx_covariance(
     circuit: Circuit, lattice: LatticeSpec, squeezing: float
 ) -> BlockApproxCovariance:

@@ -90,7 +90,7 @@ def truncation_threshold(
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if max_photons is None:
-        max_photons = max(MAX_MODE_CELLS // n_sources - 2, 0)
+        max_photons = _photon_cap(n_sources)
     sech2 = _sech2(squeezing)
     floor = math.ceil(
         max(2.0 * sech2 * math.log(1.0 / epsilon), 4.0 * n_sources * sech2)
@@ -111,13 +111,18 @@ def check_block_draws(n_sources: int, squeezing: float, policy: TruncationPolicy
     both ``2K`` (but for a tail of ``min(epsilon, 1e-6)``) and ``E[2K] = sinh^2
     r`` times the expected draws, at most ``1 / P(K <= n_total_max / 2)``, must
     stay within the cap.  No budget set at ``epsilon <= 1e-6`` is refused."""
-    cap, sech2 = max(MAX_MODE_CELLS // n_sources - 2, 0), _sech2(squeezing)
+    cap, sech2 = _photon_cap(n_sources), _sech2(squeezing)
     accept = 1.0 - _pair_tail(policy.n_total_max // 2, 0.5, sech2)
     # sinh^2 r > cap P as 1 - sech^2 r > cap sech^2 r P, which cannot overflow
     if (_pair_tail(cap // 2, 0.5, sech2) > min(policy.epsilon, 1e-6)
             or 1.0 - sech2 > cap * sech2 * accept):
         raise SizeCapError(f"squeezing {squeezing} with a budget of {policy.n_total_max} "
                            f"photons needs block draws past the cap of {cap} photons")
+
+
+def _photon_cap(n_sources: int) -> int:
+    """The default photon cap: ``N (cap + 2)`` stays within ``MAX_MODE_CELLS``."""
+    return max(MAX_MODE_CELLS // n_sources - 2, 0)
 
 
 def _pair_quantile(half_n: float, sech2: float, epsilon: float, cap: int) -> int:

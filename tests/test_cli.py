@@ -631,9 +631,16 @@ def test_bounds_json_artifact(tmp_path):
          "--seed", "1"],
         ["--mode", "diagnose-bounds", "--sources", "2", "--sublattice-edge",
          "4000000", "--depth", "1", "--squeezing", "0.5", "--samples", "1"],
+        # 2^20 one-mode blocks: M passes, but the M x N source columns hold
+        # 2^40 entries (16 TiB)
+        ["--mode", "sample-fock", "--sources", "1048576", "--sublattice-edge", "1",
+         "--depth", "0", "--samples", "1", "--seed", "1"],
+        ["--mode", "diagnose-leakage", "--sources", "1048576", "--sublattice-edge",
+         "1", "--depth", "0", "--samples", "1"],
     ],
     ids=["enumeration", "moment-degree", "leakage-modes", "approx-modes",
-         "walk-trials", "walk-depth", "exact-dense-modes", "bounds-dense-modes"],
+         "walk-trials", "walk-depth", "exact-dense-modes", "bounds-dense-modes",
+         "fock-columns", "leakage-columns"],
 )
 def test_size_cap_exits_three(tmp_path, capsys, args):
     code = main(["--dim", "1", *args, "--out", str(tmp_path / "cap.out")])

@@ -71,6 +71,18 @@ _FAST_ONLY = {"blsampler.diagnostics", "blsampler.gaussian", "blsampler.kernels"
               "blsampler._moments", "blsampler.chainrule", "logging", "csv"}
 
 
+def _loaded(*argv):
+    """The modules a ``bls`` run with ``argv`` leaves in ``sys.modules``,
+    run the way ``python -m`` runs it."""
+    proc = _python("-c", "import runpy, sys\n"
+                   "try:\n"
+                   "    runpy.run_module('blsampler.cli', run_name='__main__', alter_sys=True)\n"
+                   "except SystemExit as done:\n"
+                   "    assert not done.code, done.code\n"
+                   "print(*sys.modules)", *argv)
+    return set(proc.stdout.split())
+
+
 @pytest.mark.parametrize("mode, unloaded", [("sample-approx", _FAST_ONLY),
                                             ("sample-fock", _FAST_ONLY),
                                             ("sample-exact", {"blsampler.diagnostics"})])
@@ -79,15 +91,23 @@ def test_each_sampling_mode_loads_only_what_it_runs(tmp_path, mode, unloaded):
             "--depth", "2", "--samples", "3", "--seed", "1", "--out", str(tmp_path / "s")]
     if mode != "sample-fock":
         argv += ["--squeezing", "0.5"]
-    # what ``python -m`` does, then a look at what the run left in sys.modules
-    proc = _python("-c", "import runpy, sys\n"
-                   "try:\n"
-                   "    runpy.run_module('blsampler.cli', run_name='__main__', alter_sys=True)\n"
-                   "except SystemExit as done:\n"
-                   "    assert not done.code, done.code\n"
-                   "print(*sys.modules)", *argv)
-    loaded = set(proc.stdout.split())
+    loaded = _loaded(*argv)
     assert {"blsampler.lattice", "blsampler.samplers"} <= loaded
     assert loaded & unloaded == set()
     if mode == "sample-exact":
         assert "blsampler.chainrule" in loaded
+
+
+def test_kernel_selftest_loads_no_gaussian_or_diagnostics_module(tmp_path):
+    loaded = _loaded("--mode", "kernels-selftest", "--out", str(tmp_path / "k.json"))
+    assert "blsampler.kernels" in loaded
+    assert loaded & {"blsampler.diagnostics", "blsampler.gaussian", "blsampler.chainrule",
+                     "logging", "csv"} == set()
+
+
+def test_bound_report_loads_no_chain_rule_engine(tmp_path):
+    loaded = _loaded("--mode", "diagnose-bounds", "--dim", "1", "--sources", "2",
+                     "--sublattice-edge", "2", "--depth", "2", "--squeezing", "0.5",
+                     "--samples", "1", "--out", str(tmp_path / "b.json"))
+    assert "blsampler.diagnostics" in loaded
+    assert loaded & {"blsampler.chainrule", "csv"} == set()
