@@ -342,20 +342,21 @@ def _run_leakage(config: dict) -> str:
     lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     rng = np.random.default_rng([config["seed"]])
     eta_cols = [f"eta_{i}" for i in range(lattice.n_sources)]
-    rows = []
-    for index in range(config["n_samples"]):
-        circuit = sample_random_circuit(lattice, config["depth"], rng)
-        report = leakage_rate(source_columns(circuit), lattice, config["depth"])
-        row = {"circuit": index, "eta_max": report.eta_max, "bound": report.bound}
-        row.update(zip(eta_cols, report.per_source_eta))
-        rows.append(row)
+
+    def rows():  # one circuit at a time, straight to the file
+        for index in range(config["n_samples"]):
+            circuit = sample_random_circuit(lattice, config["depth"], rng)
+            report = leakage_rate(source_columns(circuit), lattice, config["depth"])
+            yield {"circuit": index, "eta_max": report.eta_max, "bound": report.bound,
+                   **dict(zip(eta_cols, report.per_source_eta))}
+
     _write_csv(
         config["out"],
         ["circuit", "eta_max", "bound", *eta_cols],
-        rows,
+        rows(),
         config=_embedded(config),
     )
-    return f"measured {len(rows)} circuits -> {config['out']}"
+    return f"measured {config['n_samples']} circuits -> {config['out']}"
 
 
 def _run_walk(config: dict) -> str:
@@ -367,11 +368,11 @@ def _run_walk(config: dict) -> str:
         config["n_samples"],
         np.random.default_rng([config["seed"]]),
     )
-    rows = [
+    rows = (
         {"depth": t, "mode": j, "empirical": profile.empirical[t, j],
          "stderr": profile.stderr[t, j], "theory": profile.theory[t, j]}
         for t, j in np.ndindex(profile.empirical.shape)
-    ]
+    )
     _write_csv(
         config["out"],
         ["depth", "mode", "empirical", "stderr", "theory"],

@@ -140,40 +140,41 @@ def _canonical_sum(v: np.ndarray) -> float:
     return float(v[v.searchsorted(0.0, "right"):].sum())
 
 
+def _key_dtype(n_digits: int, base: int):
+    """Dtype of base-``base`` keys of ``n_digits`` digits: int64 while they
+    fit in 62 bits (so ``2 * key + 1`` does too), Python ints past that."""
+    return np.int64 if n_digits * math.log2(base) <= 62 else object
+
+
 def tvd(d1: Distribution, d2: Distribution) -> float:
     """Total-variation distance between two outcome tables.
 
     Outcomes absent from one table count as probability zero there; for
     truncated tables this is a lower bound on the true distance (see
-    :func:`tvd_upper_bound`).  Rows are packed into integer keys and the
-    two tables are merged by one sort, so the cost is a sort of
-    ``n1 + n2`` keys, and the differences are summed by
-    :func:`_canonical_sum`, independent of row order.  Tables wider than
-    62 key bits compare through dicts, summed the same way.
+    :func:`tvd_upper_bound`).  Rows are packed into integer keys
+    (:func:`_key_dtype`) and the two tables are merged by one sort, so the
+    cost is a sort of ``n1 + n2`` keys, and the differences are summed by
+    :func:`_canonical_sum`, independent of row order.
     """
     if d1.n_modes != d2.n_modes:
         raise ValueError("outcome tables cover different mode counts")
     m = d1.n_modes
     base = 1 + max(2, int(d1.counts.max(initial=0)), int(d2.counts.max(initial=0)))
-    if m * math.log2(base) <= 62:
-        n1 = d1.probs.shape[0]
-        keys = np.zeros(n1 + d2.probs.shape[0], dtype=np.int64)
-        for k in reversed(range(m)):
-            keys *= base
-            keys[:n1] += d1.counts[:, k]
-            keys[n1:] += d2.counts[:, k]
-        if keys.shape[0] == 0:
-            return 0.0
-        # each key occurs at most once per table, so 2·key + table (< 2^63)
-        # is unique and puts table 1's entry first: a run sums to p1 - p2
-        order = np.argsort(2 * keys + (np.arange(keys.shape[0]) >= n1))
-        keys = keys[order]
-        signed = np.concatenate([d1.probs, -d2.probs])[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        return 0.5 * _canonical_sum(np.abs(np.add.reduceat(signed, starts)))
-    t1, t2 = d1.as_dict(), d2.as_dict()
-    diffs = [abs(t1.get(k, 0.0) - t2.get(k, 0.0)) for k in set(t1) | set(t2)]
-    return 0.5 * _canonical_sum(np.array(diffs))
+    n1 = d1.probs.shape[0]
+    keys = np.zeros(n1 + d2.probs.shape[0], dtype=_key_dtype(m, base))
+    for k in reversed(range(m)):
+        keys *= base
+        keys[:n1] += d1.counts[:, k]
+        keys[n1:] += d2.counts[:, k]
+    if keys.shape[0] == 0:
+        return 0.0
+    # each key occurs at most once per table, so 2·key + table is unique
+    # and puts table 1's entry first: a run sums to p1 - p2
+    order = np.argsort(2 * keys + (np.arange(keys.shape[0]) >= n1))
+    keys = keys[order]
+    signed = np.concatenate([d1.probs, -d2.probs])[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return 0.5 * _canonical_sum(np.abs(np.add.reduceat(signed, starts)))
 
 
 def _tail_slop(mass1: float, mass2: float) -> float:
@@ -213,53 +214,18 @@ def product_distribution(
     outcomes above the total are never built (their mass leaves the
     table, lowering ``mass`` accordingly); the rows kept keep that order.
     """
-    acc_counts = np.zeros((1, 0), dtype=np.int16)
-    acc_probs = np.ones(1)
-    for dist in dists:
-        totals1, totals2 = acc_counts.sum(axis=1), dist.counts.sum(axis=1)
-        cap = budget
-        if cap is None:  # the largest combined total: every pair passes
-            cap = totals1.max(initial=0) + totals2.max(initial=0)
-        i, j = _pairs_within_budget(totals1, totals2, cap)
-        # freed before the product rows exist: kept alive across them, they
-        # fragment the heap (bounds-small peak RSS 131 -> 139 MB)
-        del totals1, totals2
-        acc_counts = np.hstack(
-            [acc_counts[i], dist.counts[j].astype(np.int16)]
-        )
-        acc_probs = acc_probs[i] * dist.probs[j]
-    columns = np.concatenate([np.asarray(m, dtype=int) for m in mode_lists])
-    if columns.shape[0] != acc_counts.shape[1]:
+    if [len(modes) for modes in mode_lists] != [dist.n_modes for dist in dists]:
         raise ValueError("mode lists do not match the block tables")
-    full = np.zeros((acc_counts.shape[0], n_modes), dtype=np.int16)
-    full[:, columns] = acc_counts
-    return Distribution(full, acc_probs)
-
-
-def _pairs_within_budget(
-    totals1: np.ndarray, totals2: np.ndarray, budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs ``(i, j)`` with ``totals1[i] + totals2[j] <= budget``, in
-    the order of the full ``i``-major product, without building it.
-
-    Row i pairs with the pool of rows j whose total is at most
-    ``budget - totals1[i]``, in their own order.  The pools for caps
-    ``0..min(budget, max(totals2))`` are laid out back to back, so all
-    pairs come from one gather.
-    """
-    top = max(-1, min(budget, int(totals2.max(initial=-1))))
-    caps = np.clip(budget - totals1, -1, top)
-    pools = [np.flatnonzero(totals2 <= c) for c in range(top + 1)]
-    sizes = np.array([0] + [p.shape[0] for p in pools])  # sizes[c + 1]: pool c
-    offsets = np.cumsum(sizes)  # offsets[c]: where pool c starts in flat
-    flat = np.concatenate([np.empty(0, dtype=np.intp), *pools])
-    per_row = sizes[caps + 1]
-    i = np.repeat(np.arange(totals1.shape[0]), per_row)
-    # output position k inside row i's run (which starts at r_i) reads
-    # entry k - r_i of row i's pool
-    shift = offsets[np.maximum(caps, 0)] - (np.cumsum(per_row) - per_row)
-    j = flat[np.repeat(shift, per_row) + np.arange(i.shape[0])]
-    return i, j
+    cap = math.inf if budget is None else budget
+    counts, probs = np.zeros((1, n_modes), dtype=np.int16), np.ones(1)
+    for dist, modes in zip(dists, mode_lists):
+        fits = dist.counts.sum(axis=1) <= cap - counts.sum(axis=1)[:, None]
+        # flat indices run i-major, the nested order; np.nonzero(fits) is ~5x slower
+        i, j = np.unravel_index(np.flatnonzero(fits), fits.shape)
+        counts = counts[i]
+        counts[:, modes] = dist.counts[j]
+        probs = probs[i] * dist.probs[j]
+    return Distribution(counts, probs)
 
 
 _FACT = np.array([math.factorial(i) for i in range(171)], dtype=float)
@@ -490,10 +456,9 @@ def leakage_rate(
     """Measured per-source leakage of the full ``U`` or its source columns:
     column weight outside the home block."""
     cols = _source_cols(unitary, lattice)
-    outside = np.ones((lattice.n_sources, lattice.n_modes), dtype=bool)
-    outside[np.arange(lattice.n_sources)[:, None], lattice.sublattices] = False
     etas = [
-        float((np.abs(cols[out, b]) ** 2).sum()) for b, out in enumerate(outside)
+        float((np.abs(np.delete(cols[:, b], modes)) ** 2).sum())
+        for b, modes in enumerate(lattice.sublattices)
     ]
     bound = None if depth is None else leakage_bound(lattice.dim, lattice.edge, depth)
     return LeakageReport(per_source_eta=tuple(etas), eta_max=max(etas), bound=bound)
@@ -608,13 +573,12 @@ def fock_error_bound(
 def _block_factor(dist, modes, base: int, pre_n, suf_n):
     """``factor(a, b)``: block table ``dist``'s probabilities on the join's
     ``(a, b)`` pair grid, broadcastable onto it.  A block's key (base
-    ``base``, Python ints past 62 bits) is a prefix-row key plus a
+    ``base``, dtype :func:`_key_dtype`) is a prefix-row key plus a
     suffix-row key, looked up by binary search over the table's sorted
     keys: once per photon total of its half for a block inside one half,
     per cell otherwise."""
     h, n_modes = pre_n[0].shape[1], pre_n[0].shape[1] + suf_n[0].shape[1]
-    wide = len(modes) * math.log2(base) > 62  # keys past int64 stay Python ints
-    weights = np.zeros(n_modes, object if wide else np.int64)
+    weights = np.zeros(n_modes, _key_dtype(len(modes), base))
     weights[modes] = [base**k for k in range(len(modes))]
     keys = dist.counts @ weights[modes]
     order = np.argsort(keys)

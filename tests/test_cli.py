@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,6 +565,38 @@ def test_walk_runs_on_the_lattice_from_source_zero(tmp_path, args, walk_source):
     assert len(rows) == 3 * config["n_modes"]
     start = [float(r["theory"]) for r in rows if r["depth"] == "0"]
     assert start.index(1.0) == walk_source
+
+
+def _traced_peak(argv, samples: int) -> int:
+    assert main(argv + ["--samples", "2"]) == 0  # imports and caches out of the peak
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--samples", str(samples)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_csv_streams_its_rows(tmp_path):
+    # 21 x 1024 rows take about 6 MiB held as dicts; written as they are
+    # made, the run peaks near 0.7 MiB
+    out = tmp_path / "walk.csv"
+    argv = ["--mode", "diagnose-walk", "--dim", "1", "--sublattice-edge", "1024",
+            "--depth", "20", "--out", str(out)]
+    peak = _traced_peak(argv, 2)
+    assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert len(out.read_text().splitlines()) == 2 + 21 * 1024
+
+
+def test_leakage_csv_streams_its_rows(tmp_path):
+    # 5000 one-mode circuits take about 1.3 MiB as a row list; streamed,
+    # the peak is what one circuit needs, 0.2 MiB at any circuit count
+    out = tmp_path / "leak.csv"
+    argv = ["--mode", "diagnose-leakage", "--dim", "1", "--sources", "1",
+            "--sublattice-edge", "1", "--depth", "0", "--out", str(out)]
+    peak = _traced_peak(argv, 5000)
+    assert peak < 2**19, f"traced peak {peak / 2**20:.2f} MiB"
+    assert len(out.read_text().splitlines()) == 2 + 5000
 
 
 def test_bounds_json_artifact(tmp_path):

@@ -187,8 +187,10 @@ def test_product_distribution_hand_case():
 
 def test_product_distribution_validates_mode_lists():
     d1 = Distribution(np.array([[0], [1]]), np.array([0.3, 0.7]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # a list wider than its table
         product_distribution([d1], [[0, 1]], 2)
+    with pytest.raises(ValueError):  # two tables, one list
+        product_distribution([d1, d1], [[0, 1]], 2)
 
 
 def _reference_product(dists, mode_lists, n_modes, budget):
@@ -303,9 +305,9 @@ def test_tvd_and_mass_ignore_row_order_and_zero_rows(n_modes, top, n_rows):
         assert tvd(d2, moved) == tvd(d2, d1)
 
 
-def test_tvd_wide_tables_take_the_dict_path():
-    # 40 modes at base 4 need 80 key bits: the packed-key path cannot run,
-    # and one table carries a count the other never reaches
+def test_tvd_wide_tables_key_by_python_ints():
+    # 40 modes at base 4 need 80 key bits, past int64: the keys are Python
+    # ints, and one table carries a count the other never reaches
     rng = np.random.default_rng(62)
     c1 = np.unique(rng.integers(0, 3, (30, 40)), axis=0)
     c2 = np.vstack([c1[:10], np.full((1, 40), 3)])
@@ -607,6 +609,37 @@ def test_leakage_rate_respects_light_cone():
     leaked = leakage_rate(accumulate_unitary(deep), lat, depth=6)
     assert leaked.eta_max > 1e-8
     assert len(leaked.per_source_eta) == 2
+
+
+@pytest.mark.parametrize("edge", [4, 8, 16, 32])
+def test_steered_photon_leaks_exactly_when_the_light_cone_allows(edge):
+    # worst case: a swap on the gate whose lower mode holds source 0's
+    # photon, the identity on every other gate, walks it up one site per
+    # layer it can; from the centre it leaves the home block at depth L/2 + 1
+    lat = build_lattice(1, 2, edge)
+    pos, pairs, angles = int(lat.sources[0]), [], []
+    for depth in range(1, edge // 2 + 2):
+        gates = blsampler.lattice.brickwork_pairs(lat.grid_shape, depth - 1)
+        steer = gates[:, 0] == pos
+        pos = int(gates[steer, 1][0]) if steer.any() else pos
+        pairs.append(gates)
+        angles.append(np.where(steer[:, None], [math.pi / 2, 0.0], 0.0))
+        u = accumulate_unitary(Circuit(lat, pairs, angles))
+        eta = leakage_rate(u, lat).per_source_eta[0]
+        assert eta == (1.0 if depth == edge // 2 + 1 else 0.0), depth
+        j, s = np.indices(u.shape)
+        assert (u[np.abs(j - s) > depth] == 0).all()
+
+
+def test_random_circuits_leak_far_less_than_the_steered_photon():
+    # the steered photon's whole weight leaves at L = 32, D = 17; random
+    # gates there leak at most 1.4e-4 over these 50 circuits
+    lat = build_lattice(1, 2, 32)
+    etas = []
+    for k in range(50):
+        circuit = sample_random_circuit(lat, 17, np.random.default_rng(k))
+        etas.append(leakage_rate(source_columns(circuit), lat).eta_max)
+    assert max(etas) < 1e-3
 
 
 # --------------------------------------------------------------- walk law
