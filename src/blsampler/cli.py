@@ -16,7 +16,7 @@ following line one sample
 ``{"counts"|"clicks", "sample_id", "sampler", "seed", "stream"}``.
 Rerunning a sampling mode with the same config and seed reproduces the
 file byte for byte: sample i draws from its own ``default_rng([seed, i])``
-substream.
+substream, which ``_sample_rngs`` derives a chunk of samples at a time.
 
 Exit codes: 0 success, 2 invalid config (an ``--out`` that cannot be
 written included), 3 oracle/kernel scale exceeded (a photon budget past
@@ -40,6 +40,7 @@ import sys
 import time
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConditioningError, SamplingError, SizeCapError
 from .lattice import MAX_MODE_CELLS, build_lattice, sample_random_circuit, source_columns
@@ -56,6 +57,7 @@ __all__ = ["main", "validate", "run"]
 SAMPLING_MODES = ("sample-exact", "sample-approx", "sample-fock")
 DIAGNOSE_MODES = ("diagnose-leakage", "diagnose-walk", "diagnose-bounds")
 ALL_MODES = SAMPLING_MODES + DIAGNOSE_MODES + ("kernels-selftest",)
+_STREAM_CHUNK = 1024  # sample substreams seeded per numpy pass
 
 # --samples means: samples per run, circuits, trials, or instances.
 _DEFAULT_SAMPLES = {
@@ -186,6 +188,8 @@ def validate(args) -> tuple[dict, list[str]]:
         problems.append("--samples must be >= 1")
     elif n_samples < 2 and mode == "diagnose-walk":
         problems.append("--samples must be >= 2 for diagnose-walk")
+    elif n_samples > 2**32 and mode in SAMPLING_MODES:  # stream i is one uint32 word
+        problems.append("--samples must be <= 2**32 for sampling modes")
 
     seed = args.seed
     if seed is None:
@@ -304,6 +308,48 @@ def _embedded(config: dict, **extra) -> dict:
     return out
 
 
+class _PCG64Seed(ISeedSequence):
+    """One substream's PCG64 seed words, as its ``SeedSequence`` hashes them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (4, np.dtype(np.uint64)):
+            raise RuntimeError(f"PCG64 asked for {n_words} {np.dtype(dtype)} seed words")
+        return self.words
+
+
+def _sample_rngs(seed: int, n: int):
+    """Yield ``np.random.default_rng([seed, i])`` for i < n <= 2**32, bit for
+    bit: numpy's ``SeedSequence`` hash of ``[seed words..., i]``, a fixed uint32
+    mix (NEP 19), runs here on a chunk of i at once, step for step as it does."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    def mix(pool, dst, value):  # pool word dst mixed with hashmix(value)
+        r = pool[dst] * np.uint32(0xCA01F9DD) - hashmix(value) * np.uint32(0x4973F715)
+        pool[dst] = r ^ r >> 16
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    for start in range(0, n, _STREAM_CHUNK):
+        index = np.arange(start, min(start + _STREAM_CHUNK, n), dtype=np.uint32)
+        entropy = [np.full_like(index, w) for w in words] + [index]
+        const, mult = 0x43B0D7E5, 0x931E8875  # mix_entropy's hashmix constants
+        pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros_like(index))
+                for k in range(4)]
+        for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
+            mix(pool, dst, pool[src])
+        for word, dst in [(w, d) for w in entropy[4:] for d in range(4)]:
+            mix(pool, dst, word)
+        const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, np.uint64)
+        state = np.stack([hashmix(pool[k % 4]) for k in range(8)], axis=1)
+        for row in state.astype("<u4").view("<u8").astype(np.uint64):
+            yield np.random.Generator(np.random.PCG64(_PCG64Seed(row)))
+
+
 def _run_sampling(config: dict) -> str:
     lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     circuit = sample_random_circuit(
@@ -330,9 +376,8 @@ def _run_sampling(config: dict) -> str:
     clicks = config["detector"] == "threshold"  # a click is a count >= 1
     with open(config["out"], "w") as fh:
         fh.write(_json_line({"config": _embedded(config)}))
-        for i in range(n):
-            counts = draw(np.random.default_rng([seed, i]))
-            fh.write(_sample_line(counts, clicks, sampler_name, seed, i))
+        for i, rng in enumerate(_sample_rngs(seed, n)):
+            fh.write(_sample_line(draw(rng), clicks, sampler_name, seed, i))
     return f"wrote {n} samples to {config['out']}"
 
 

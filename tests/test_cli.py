@@ -15,9 +15,26 @@ import numpy as np
 import pytest
 
 import blsampler
-from blsampler.cli import ALL_MODES, _build_parser, _json_line, _sample_line, main, validate
+from blsampler.cli import (
+    _STREAM_CHUNK,
+    ALL_MODES,
+    _build_parser,
+    _json_line,
+    _PCG64Seed,
+    _sample_line,
+    _sample_rngs,
+    main,
+    validate,
+)
 from blsampler.diagnostics import leakage_bound
 from blsampler.errors import ConditioningError, SizeCapError
+from blsampler.lattice import build_lattice, sample_random_circuit, source_columns
+from blsampler.samplers import (
+    BlockApproxSampler,
+    DistinguishableFockSampler,
+    TruncationPolicy,
+    truncation_threshold,
+)
 
 
 def _stderr_json(capsys):
@@ -349,6 +366,71 @@ def test_sample_line_equals_the_json_line(clicks):
             record = {key: (counts > 0).tolist() if clicks else counts.tolist(),
                       "sample_id": i, "sampler": sampler, "seed": seed, "stream": i}
             assert _sample_line(counts, clicks, sampler, seed, i) == _json_line(record)
+
+
+# ------------------------------------------------------ sample substreams
+
+_PAST_CHUNK = (0, 1, _STREAM_CHUNK - 1, _STREAM_CHUNK, _STREAM_CHUNK + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
+def test_sample_rngs_are_the_default_rng_substreams(seed):
+    # seeds of one to four uint32 words, so that [seed words..., i] also runs
+    # past SeedSequence's four-word pool; i on both sides of a chunk edge
+    rngs = list(_sample_rngs(seed, _STREAM_CHUNK + 2))
+    assert len(rngs) == _STREAM_CHUNK + 2
+    for i in _PAST_CHUNK:
+        ours, oracle = rngs[i], np.random.default_rng([seed, i])
+        assert ours.bit_generator.state == oracle.bit_generator.state, (seed, i)
+        assert np.array_equal(ours.random(8), oracle.random(8)), (seed, i)
+
+
+def test_pcg64_seed_refuses_any_other_request():
+    words = np.arange(4, dtype=np.uint64)
+    assert _PCG64Seed(words).generate_state(4, np.uint64) is words
+    for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]:
+        with pytest.raises(RuntimeError, match="PCG64 asked for"):
+            _PCG64Seed(words).generate_state(n_words, dtype)
+
+
+def test_sampling_refuses_stream_indices_past_one_word(capsys):
+    # sample i's substream is default_rng([seed, i]) with i one uint32 word
+    args = _build_parser().parse_args(
+        _sample_args("sample-fock", "unused.jsonl", extra=("--samples", str(2**32)))
+    )
+    assert validate(args)[1] == []
+    args.samples = 2**32 + 1
+    assert validate(args)[1] == ["--samples must be <= 2**32 for sampling modes"]
+    assert main(_sample_args("sample-fock", "unused.jsonl",
+                             extra=("--samples", str(2**32 + 1)))) == 2
+    assert _stderr_json(capsys)["problems"] == ["--samples must be <= 2**32 for sampling modes"]
+    # the diagnose modes draw no per-sample substreams
+    args.mode = "diagnose-leakage"
+    assert "--samples must be <= 2**32 for sampling modes" not in validate(args)[1]
+
+
+@pytest.mark.parametrize("mode", ["sample-approx", "sample-fock"])
+def test_artifact_past_one_chunk_equals_the_default_rng_reference(tmp_path, mode):
+    seed, n = 2**40 + 7, _STREAM_CHUNK + 3
+    out = tmp_path / "run.jsonl"
+    argv = _sample_args(mode, out, seed=seed, extra=("--samples", str(n)))
+    assert main(argv) == 0
+    config = validate(_build_parser().parse_args(argv))[0]
+    lattice = build_lattice(1, 2, 2)
+    circuit = sample_random_circuit(lattice, 2, np.random.default_rng([seed]))
+    if mode == "sample-approx":
+        policy = TruncationPolicy(1e-6, truncation_threshold(2, 0.3, 1e-6).n_total_max)
+        draw, name = BlockApproxSampler(circuit, lattice, 0.3, policy).sample, "approx"
+    else:
+        draw = DistinguishableFockSampler(source_columns(circuit), lattice).sample
+        name = "distinguishable"
+    config.pop("out")
+    lines = [_json_line({"config": config})]
+    for i in range(n):
+        counts = draw(np.random.default_rng([seed, i])).tolist()
+        lines.append(_json_line({"counts": counts, "sample_id": i, "sampler": name,
+                                 "seed": seed, "stream": i}))
+    assert out.read_bytes() == "".join(lines).encode()
 
 
 # ---------------------------------------------------------- artifact path
