@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end and its artifacts."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -333,12 +334,36 @@ def test_fock_sampler_conserves_photons(tmp_path):
             "22f4c2e4c15e6270bf8d96b421cc524632904d335269f2f388db88e981e4fa41",
             id="sample-approx-three-digit",
         ),
+        # pinned before the CLI froze its start-up heap: the only pin whose
+        # block draws pass the budget (50 photons at epsilon 0.5), so it holds
+        # the redraw branch, taken 17 times over its 50 samples
+        pytest.param(
+            "--mode sample-approx --dim 1 --sources 2 --sublattice-edge 3 "
+            "--depth 6 --squeezing 2.5 --epsilon 0.5 --samples 50 --seed 7",
+            "eb38596366c1b6c5a471039fd2be168e24e541c455737aa2f08e5ebe9fb9a666",
+            id="sample-approx-redraw",
+        ),
     ],
 )
 def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
     out = tmp_path / "pinned.jsonl"
     assert main(args.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_only_the_process_entry_freezes_the_start_up_heap(tmp_path, monkeypatch):
+    # main(argv) leaves an in-process caller's collector as it was; main(),
+    # which bls and python -m run, freezes once and writes the same bytes
+    frozen = gc.get_freeze_count()
+    assert main(_sample_args("sample-approx", tmp_path / "call.jsonl")) == 0
+    assert gc.get_freeze_count() == frozen
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(gc.get_freeze_count()))
+    monkeypatch.setattr(sys, "argv", ["bls", *_sample_args("sample-approx",
+                                                            tmp_path / "entry.jsonl")])
+    assert main() == 0
+    assert calls == [frozen]
+    assert (tmp_path / "entry.jsonl").read_bytes() == (tmp_path / "call.jsonl").read_bytes()
 
 
 def _count_vectors(rng):

@@ -698,8 +698,10 @@ def test_pair_walk_ends_where_its_sum_stops_growing():
 def _dense_block_draws(circ, lat, r, policy):
     """Reference: ``K`` off a cumulative pmf built up front, then dense
     landings over each block's route and its leaked cell, redrawn past the
-    budget."""
-    pairs = np.cumsum(_pair_pmf(r, 2 * policy.n_total_max + 2))
+    budget.  The pmf runs until its terms fall below e^-60, past which the
+    walk's sum no longer grows, so a K past the budget is drawn as the walk
+    draws it."""
+    pairs = np.cumsum(_pair_pmf(r, math.ceil(60 / -math.log(math.tanh(r) ** 2))))
     blocks = []
     for b, modes in enumerate(lat.sublattices):
         route = np.cumsum(np.abs(source_columns(circ)[modes, b]) ** 2)
@@ -750,6 +752,8 @@ def _draw_pair(name):
         return DistinguishableFockSampler(source_columns(circ), lat), _dense_fock_draw(circ, lat)
     if name == "block":
         lat, r, policy = build_lattice(1, 2, 3), 1.0, truncation_threshold(2, 1.0, 1e-6)
+    elif name == "block-redraw":  # 129 block draws past the 40-photon budget, in 78 calls
+        lat, r, policy = build_lattice(1, 2, 3), 2.5, TruncationPolicy(1e-6, 40)
     else:  # one bright source at r = 5, whose budget is 131,762 photons
         lat, r, policy = build_lattice(1, 1, 4), 5.0, truncation_threshold(1, 5.0, 1e-6)
         assert policy.n_total_max == 131_762
@@ -757,7 +761,7 @@ def _draw_pair(name):
     return BlockApproxSampler(circ, lat, r, policy), _dense_block_draws(circ, lat, r, policy)
 
 
-@pytest.mark.parametrize("name", ["block", "block-bright", "chain", "fock"])
+@pytest.mark.parametrize("name", ["block", "block-redraw", "block-bright", "chain", "fock"])
 def test_samplers_draw_the_dense_reference_sequence(name):
     # one generator shared by 200 calls: rng.random() must read the same
     # double as rng.random(1)[0], or every later call would drift
