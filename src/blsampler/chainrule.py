@@ -56,14 +56,6 @@ _MAX_PHOTONS = max(b for b in range(129) if math.comb(
     2 * b + LOW_RANK_COLUMN_CAP, LOW_RANK_COLUMN_CAP) <= MAX_MODE_CELLS)
 
 
-def _factorials(counts) -> float:
-    """``prod_j n_j!`` as a float, multiplied in mode order."""
-    fact = 1.0
-    for c in counts:
-        fact *= math.factorial(int(c))
-    return fact
-
-
 def _hafnian_factor(sigma: ComplexCovariance) -> tuple[np.ndarray, float]:
     """Thin symmetric factor ``G`` of the hafnian matrix (``G G^T = A``) and
     the normalization ``1/sqrt(det(Sigma + I/2))`` of the state ``sigma``."""
@@ -87,7 +79,7 @@ def _sweep(prefix: tuple[int, ...], factor: np.ndarray, norm: float):
     if rank == 0:
         yield norm if sum(prefix) == 0 else 0.0
         return
-    pfact, fact = _factorials(prefix), 1.0
+    pfact, fact = math.prod(map(math.factorial, prefix), start=1.0), 1.0
     if rank > LOW_RANK_COLUMN_CAP:
         for n in range(HAFNIAN_DIM_CAP // 2 - int(sum(prefix)) + 1):
             fact *= max(n, 1)

@@ -232,7 +232,7 @@ def validate(args) -> tuple[dict, list[str]]:
     # every mode but the walk builds the M x N source columns
     columns = config["n_sources"] * m if mode != "diagnose-walk" else 0
     # sample-exact and diagnose-bounds build dense 2M x 2M covariances, so
-    # M stops at 4096 there; ROADMAP items 1 and 2 replace this cap with
+    # M stops at 4096 there; ROADMAP items 3 and 4 replace this cap with
     # one set from the exact engine's real cost
     dense = (2 * m) ** 2 if mode in ("sample-exact", "diagnose-bounds") else 0
     for label, size in [("N * L^d modes", m), ("depth * M", config["depth"] * m),

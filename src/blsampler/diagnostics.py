@@ -290,8 +290,8 @@ def _dp_enumerate(
     polynomial is a prefix polynomial times a suffix one, so the
     amplitudes of all outcomes with ``a`` prefix and ``b`` suffix photons
     are one product ``C_P[a] @ W @ C_S[b].T`` through the moment Gram
-    matrix ``W`` (:meth:`~blsampler._moments.MomentTables.gram`), taken
-    in the order ``multi_dot`` would choose; the squared magnitude (or
+    matrix ``W`` (:meth:`~blsampler._moments.MomentTables.gram`), in the
+    order :func:`numpy.linalg.multi_dot` picks; the squared magnitude (or
     clipped real part), the norm and the factorials are applied in place.
     Returns the prefix and suffix count rows per photon total and a
     generator of ``(a, b, grid)`` probability grids, ``a``-major, whose
@@ -312,12 +312,7 @@ def _dp_enumerate(
                 if ppp * (a + b) % 2:
                     yield a, b, np.zeros((c_p.shape[0], c_s.shape[0]))
                     continue
-                w = tabs.gram(ppp * a, ppp * b)
-                (rows, k), (cols, n) = c_p.shape, c_s.shape  # multi_dot's order
-                if rows * n * (k + cols) < k * cols * (rows + n):
-                    vals = np.dot(np.dot(c_p, w), c_s.T)
-                else:
-                    vals = np.dot(c_p, np.dot(w, c_s.T))
+                vals = np.linalg.multi_dot([c_p, tabs.gram(ppp * a, ppp * b), c_s.T])
                 if value == "abs2":
                     grid = np.abs(vals)
                     grid **= 2

@@ -20,6 +20,8 @@ updates, capped at dimension 14.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import _moments
@@ -67,14 +69,10 @@ def hafnian_general(a: np.ndarray) -> complex:
     if np.abs(a - a.T).max() > 1e-8 * max(1.0, scale):
         raise ValueError("hafnian input is not symmetric")
 
-    memo: dict[int, complex] = {}
-
+    @functools.cache
     def matchings(mask: int) -> complex:
         if mask == 0:
             return 1 + 0j
-        known = memo.get(mask)
-        if known is not None:
-            return known
         i = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << i)
         total = 0j
@@ -83,7 +81,6 @@ def hafnian_general(a: np.ndarray) -> complex:
             j = (mm & -mm).bit_length() - 1
             mm &= mm - 1
             total += a[i, j] * matchings(rest & ~(1 << j))
-        memo[mask] = total
         return total
 
     return matchings((1 << n) - 1)

@@ -29,6 +29,7 @@ entry equals what gate-by-gate application gives, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,8 +152,6 @@ def build_lattice(dim: int, n_sources: int, edge: int) -> LatticeSpec:
 # At the cap a circuit holds 0.5 GiB of angles, the walk 1.5 GiB of tables.
 MAX_MODE_CELLS = 2**26
 
-_PAIR_CACHE: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-
 
 def brickwork_pairs(grid_shape: tuple[int, ...], layer: int) -> np.ndarray:
     """Mode pairs coupled by the given layer, shape ``(n_gates, 2)``.
@@ -160,14 +159,14 @@ def brickwork_pairs(grid_shape: tuple[int, ...], layer: int) -> np.ndarray:
     Layer ``layer`` (0-based) acts along axis ``(layer % 2d) // 2``; the
     first of the two passes over an axis pairs sites at odd coordinate
     offsets ``(1,2), (3,4), ...``, the second pairs ``(0,1), (2,3), ...``.
-    Boundaries are open: unpaired edge sites idle.
+    Boundaries are open: unpaired edge sites idle.  Each grid's ``2d``
+    arrays are built once per process and returned read-only.
     """
-    dim = len(grid_shape)
-    step = layer % (2 * dim)
-    key = (tuple(grid_shape), step)
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _layer_pairs(tuple(grid_shape), layer % (2 * len(grid_shape)))
+
+
+@functools.cache
+def _layer_pairs(grid_shape: tuple[int, ...], step: int) -> np.ndarray:
     axis, phase = divmod(step, 2)
     offset = 1 - phase
     idx = np.arange(int(np.prod(grid_shape))).reshape(grid_shape)
@@ -178,7 +177,6 @@ def brickwork_pairs(grid_shape: tuple[int, ...], layer: int) -> np.ndarray:
     pairs = np.stack([lo[..., :n].ravel(), hi[..., :n].ravel()], axis=1)
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
     pairs.setflags(write=False)
-    _PAIR_CACHE[key] = pairs
     return pairs
 
 

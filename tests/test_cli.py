@@ -343,6 +343,28 @@ def test_fock_sampler_conserves_photons(tmp_path):
             "eb38596366c1b6c5a471039fd2be168e24e541c455737aa2f08e5ebe9fb9a666",
             id="sample-approx-redraw",
         ),
+        # pinned before the layer schedules were cached by functools: the
+        # approx-large lattice, whose depth 64 passes the light cone at 33,
+        # so every block of 64 modes leaks
+        pytest.param(
+            "--mode sample-approx --dim 1 --sources 8 --sublattice-edge 64 "
+            "--depth 64 --squeezing 0.5 --samples 300 --seed 31",
+            "3988f7d4d7963752e831df590ff73a7f75619cae772e930bf875fdc3686f09a8",
+            id="sample-approx-large",
+        ),
+        # d = 3: strided block modes and six layer schedules per round
+        pytest.param(
+            "--mode sample-approx --dim 3 --sources 2 --sublattice-edge 3 "
+            "--depth 9 --squeezing 1.0 --samples 200 --seed 31",
+            "0e2c2ab6796fd67a46165ecd47b0f19ca82a524cddaf2ecdc90f47b872b730ea",
+            id="sample-approx-3d",
+        ),
+        pytest.param(
+            "--mode diagnose-leakage --dim 3 --sources 2 --sublattice-edge 3 "
+            "--depth 9 --samples 5 --seed 31",
+            "8c96cc6c22ef03c94c82405046cbbf9b909a6870b68b2a5a635ea9d243139763",
+            id="diagnose-leakage-3d",
+        ),
     ],
 )
 def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
