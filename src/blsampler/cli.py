@@ -24,10 +24,11 @@ its cap included, refused in ``validate``), 4 numerical conditioning or
 sampling failure.  stderr receives JSON error objects only (enabling
 ``BLS_LOG`` adds human-readable log lines).
 
-Each runner imports only what its mode runs: the fast samplers load no
-Gaussian, kernel or diagnostics module, ``sample-exact`` no diagnostics,
-the ``diagnose-*`` modes no chain-rule engine, and ``kernels-selftest`` no
-Gaussian or diagnostics module.  The artifact writers live here.
+Every mode loads ``errors``, ``lattice`` and ``samplers``; a runner imports
+only what else its mode runs: ``csv`` for the two CSV modes, the Gaussian,
+kernel and chain-rule modules for ``sample-exact``, the Gaussian, kernel and
+diagnostics ones for ``diagnose-bounds``, the kernels for
+``kernels-selftest``.  The artifact writers live here.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConditioningError, SamplingError, SizeCapError
-from .lattice import MAX_MODE_CELLS, build_lattice, sample_random_circuit, source_columns
+from .lattice import (MAX_MODE_CELLS, build_lattice, leakage_rate, random_walk_profile,
+                      sample_random_circuit, source_columns)
 from .samplers import (
     BlockApproxSampler,
     DistinguishableFockSampler,
@@ -383,8 +385,6 @@ def _run_sampling(config: dict) -> str:
 
 
 def _run_leakage(config: dict) -> str:
-    from .diagnostics import leakage_rate
-
     lattice = build_lattice(config["dim"], config["n_sources"], config["edge"])
     rng = np.random.default_rng([config["seed"]])
     eta_cols = [f"eta_{i}" for i in range(lattice.n_sources)]
@@ -406,8 +406,6 @@ def _run_leakage(config: dict) -> str:
 
 
 def _run_walk(config: dict) -> str:
-    from .diagnostics import random_walk_profile
-
     profile = random_walk_profile(
         build_lattice(config["dim"], config["n_sources"], config["edge"]),
         config["depth"],

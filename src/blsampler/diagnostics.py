@@ -1,12 +1,11 @@
 """The approximation-error chain, and the independent checks it is held to.
 
-Reports, which the ``diagnose-*`` modes write: :func:`leakage_rate` (each
-source column's weight outside its home block, against
-:func:`leakage_bound`), :func:`random_walk_profile` (mean column weight
-against the averaging map), :func:`fock_error_bound`, and
-:func:`theorem_bound_report` (leakage, covariance distance, fidelity and
-distance bounds on one instance, beside the true table distance when the
-instance is small enough to enumerate).
+Reports: :func:`theorem_bound_report`, which ``diagnose-bounds`` writes
+(leakage, covariance distance, fidelity and distance bounds on one
+instance, beside the true table distance when the instance is small
+enough to enumerate), and :func:`fock_error_bound`.  Both take the
+leakage from :func:`~blsampler.lattice.leakage_rate`; the leakage and
+walk reports themselves live in :mod:`blsampler.lattice`.
 
 Independent checks, which give ground truth for the samplers and the bounds:
 
@@ -54,14 +53,7 @@ from .gaussian import (
     SMALL_X_THRESHOLD,
 )
 from .kernels import LOW_RANK_COLUMN_CAP, permanent, takagi_factor
-from .lattice import (
-    Circuit,
-    LatticeSpec,
-    _gate_coefficients,
-    _mix_rows,
-    _source_cols,
-    brickwork_pairs,
-)
+from .lattice import Circuit, LatticeSpec, _source_cols, leakage_rate
 from .samplers import TruncationPolicy
 
 __all__ = [
@@ -73,11 +65,6 @@ __all__ = [
     "enumerate_gbs_distribution",
     "enumerate_fock_distribution",
     "enumerate_distinguishable_distribution",
-    "LeakageReport",
-    "leakage_bound",
-    "leakage_rate",
-    "WalkProfile",
-    "random_walk_profile",
     "FockErrorReport",
     "fock_error_bound",
     "theorem_bound_report",
@@ -427,91 +414,6 @@ def _fock_oracle(unitary, lattice: LatticeSpec, value: str) -> Distribution:
         raw = abs(per) ** 2 if value == "abs2" else max(per.real, 0.0)
         probs[idx] = raw / _FACT[comp].prod()
     return Distribution(comps.astype(np.int16), probs)
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    """Per-source leaked amplitude fraction plus the diffusive bound."""
-
-    per_source_eta: tuple[float, ...]
-    eta_max: float
-    bound: float | None
-
-
-def leakage_bound(dim: int, edge: int, depth: int) -> float:
-    """Diffusive tail bound ``2 d exp(-L^2 d / (8 D))`` (zero at D=0)."""
-    if depth == 0:
-        return 0.0
-    return 2.0 * dim * math.exp(-(edge**2) * dim / (8.0 * depth))
-
-
-def leakage_rate(
-    unitary: np.ndarray, lattice: LatticeSpec, depth: int | None = None
-) -> LeakageReport:
-    """Measured per-source leakage of the full ``U`` or its source columns:
-    column weight outside the home block."""
-    cols = _source_cols(unitary, lattice)
-    etas = [
-        float((np.abs(np.delete(cols[:, b], modes)) ** 2).sum())
-        for b, modes in enumerate(lattice.sublattices)
-    ]
-    bound = None if depth is None else leakage_bound(lattice.dim, lattice.edge, depth)
-    return LeakageReport(per_source_eta=tuple(etas), eta_max=max(etas), bound=bound)
-
-
-@dataclass(frozen=True)
-class WalkProfile:
-    """Source-column weight profile, measured and predicted, per depth.
-
-    Arrays are shaped ``(depth + 1, n_modes)``; row t is the profile
-    after t layers.  ``theory`` iterates the exact one-gate averaging
-    map (each gate replaces both sites' mean weights by their average),
-    which is the lattice random walk the gate statistics induce.
-    """
-
-    empirical: np.ndarray
-    stderr: np.ndarray
-    theory: np.ndarray
-    source: int
-
-
-def random_walk_profile(
-    lattice: LatticeSpec,
-    depth: int,
-    n_trials: int,
-    rng: np.random.Generator,
-) -> WalkProfile:
-    """Monte-Carlo mean of ``|U_{j,s}|^2`` against the averaging-map law,
-    on the lattice's mode grid; the walk starts at source 0 of the
-    lattice (the centre of its first cube)."""
-    if n_trials < 2:
-        raise ValueError("n_trials must be >= 2 (stderr needs two trials)")
-    grid_shape, n_modes = lattice.grid_shape, lattice.n_modes
-    source = int(lattice.sources[0])
-    amps = np.zeros((n_trials, n_modes), dtype=complex)
-    amps[:, source] = 1.0
-    empirical = np.zeros((depth + 1, n_modes))
-    stderr = np.zeros((depth + 1, n_modes))
-    theory = np.zeros((depth + 1, n_modes))
-    empirical[0, source] = 1.0
-    theory[0, source] = 1.0
-    profile = theory[0].copy()
-    for layer in range(depth):
-        pairs = brickwork_pairs(grid_shape, layer)
-        if pairs.shape[0]:
-            i, j = pairs[:, 0], pairs[:, 1]
-            theta = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
-            phi = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
-            c, es, fs = _gate_coefficients(theta, phi)
-            _mix_rows(amps.T, i, j, c.T, es.T, fs.T)
-            profile[i] = profile[j] = 0.5 * (profile[i] + profile[j])
-        w = np.abs(amps) ** 2
-        empirical[layer + 1] = w.mean(axis=0)
-        stderr[layer + 1] = w.std(axis=0, ddof=1) / math.sqrt(n_trials)
-        theory[layer + 1] = profile
-    return WalkProfile(
-        empirical=empirical, stderr=stderr, theory=theory, source=source
-    )
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ that applies each layer as one vectorized update of the rows it touches
 because the :class:`Circuit` constructor checks that each layer's gates
 act on disjoint, in-range modes (its arrays are read-only after); every
 entry equals what gate-by-gate application gives, bit for bit.
+
+The circuit reports sit beside that loop: :func:`leakage_rate` (column
+weight outside the home block, against :func:`leakage_bound`) and
+:func:`random_walk_profile` (mean column weight against the averaging map).
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ __all__ = [
     "sample_random_circuit",
     "accumulate_unitary",
     "source_columns",
+    "LeakageReport",
+    "leakage_bound",
+    "leakage_rate",
+    "WalkProfile",
+    "random_walk_profile",
 ]
 
 
@@ -117,6 +126,8 @@ def build_lattice(dim: int, n_sources: int, edge: int) -> LatticeSpec:
         raise ValueError(f"n_sources must be >= 1, got {n_sources}")
     if edge < 1:
         raise ValueError(f"edge must be >= 1, got {edge}")
+    if dim > 32:  # the grid takes two array axes per dimension; numpy has 64
+        raise ValueError(f"dim must be <= 32, got {dim}")
     tile = _tile_shape(n_sources, dim)
     grid_shape = tuple(t * edge for t in tile)
     n_modes = math.prod(grid_shape)
@@ -146,10 +157,11 @@ def build_lattice(dim: int, n_sources: int, edge: int) -> LatticeSpec:
     )
 
 
-# The CLI refuses, before any array exists, M, depth * M or walk trials * M
-# above this.  The largest planned depth-threshold runs reach M = 32768 and
-# depth * M = 7.0M (d=1, L=512, D=6865; 28.3M at d=2, L=128, N=2, D=863).
-# At the cap a circuit holds 0.5 GiB of angles, the walk 1.5 GiB of tables.
+# The CLI refuses, before any array exists, M, depth * M, walk trials * M,
+# N * M source-column entries or (2M)^2 dense covariance entries above this.
+# The largest planned depth-threshold runs reach M = 32768 and depth * M =
+# 7.0M (d=1, L=512, D=6865; 28.3M at d=2, L=128, N=2, D=863).  At the cap a
+# circuit holds 0.5 GiB of angles, the walk 1.5 GiB of tables.
 MAX_MODE_CELLS = 2**26
 
 
@@ -159,25 +171,26 @@ def brickwork_pairs(grid_shape: tuple[int, ...], layer: int) -> np.ndarray:
     Layer ``layer`` (0-based) acts along axis ``(layer % 2d) // 2``; the
     first of the two passes over an axis pairs sites at odd coordinate
     offsets ``(1,2), (3,4), ...``, the second pairs ``(0,1), (2,3), ...``.
-    Boundaries are open: unpaired edge sites idle.  Each grid's ``2d``
-    arrays are built once per process and returned read-only.
+    Boundaries are open: unpaired edge sites idle.  The ``2d`` arrays of
+    the grid last asked for are built once, kept and returned read-only.
     """
-    return _layer_pairs(tuple(grid_shape), layer % (2 * len(grid_shape)))
+    return _grid_schedules(tuple(grid_shape))[layer % (2 * len(grid_shape))]
 
 
-@functools.cache
-def _layer_pairs(grid_shape: tuple[int, ...], step: int) -> np.ndarray:
-    axis, phase = divmod(step, 2)
-    offset = 1 - phase
-    idx = np.arange(int(np.prod(grid_shape))).reshape(grid_shape)
-    idx = np.moveaxis(idx, axis, -1)
-    lo = idx[..., offset::2]
-    hi = idx[..., offset + 1 :: 2]
-    n = min(lo.shape[-1], hi.shape[-1])
-    pairs = np.stack([lo[..., :n].ravel(), hi[..., :n].ravel()], axis=1)
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    pairs.setflags(write=False)
-    return pairs
+@functools.lru_cache(maxsize=1)  # a run builds one grid
+def _grid_schedules(grid_shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    idx = np.arange(math.prod(grid_shape)).reshape(grid_shape)
+    schedules = []
+    for axis in range(len(grid_shape)):
+        lines = np.moveaxis(idx, axis, -1)
+        for offset in (1, 0):
+            lo, hi = lines[..., offset::2], lines[..., offset + 1 :: 2]
+            n = min(lo.shape[-1], hi.shape[-1])
+            pairs = np.stack([lo[..., :n].ravel(), hi[..., :n].ravel()], axis=1)
+            pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+            pairs.setflags(write=False)
+            schedules.append(pairs)
+    return tuple(schedules)
 
 
 def _read_only(x, dtype) -> np.ndarray:
@@ -344,3 +357,88 @@ def _mix_rows(u, i, j, c, es, fs) -> None:
     ri, rj = u[i], u[j]
     u[i] = c * ri + es * rj
     u[j] = fs * ri + c * rj
+
+
+@dataclass(frozen=True)
+class LeakageReport:
+    """Per-source leaked amplitude fraction plus the diffusive bound."""
+
+    per_source_eta: tuple[float, ...]
+    eta_max: float
+    bound: float | None
+
+
+def leakage_bound(dim: int, edge: int, depth: int) -> float:
+    """Diffusive tail bound ``2 d exp(-L^2 d / (8 D))`` (zero at D=0)."""
+    if depth == 0:
+        return 0.0
+    return 2.0 * dim * math.exp(-(edge**2) * dim / (8.0 * depth))
+
+
+def leakage_rate(
+    unitary: np.ndarray, lattice: LatticeSpec, depth: int | None = None
+) -> LeakageReport:
+    """Measured per-source leakage of the full ``U`` or its source columns:
+    column weight outside the home block."""
+    cols = _source_cols(unitary, lattice)
+    etas = [
+        float((np.abs(np.delete(cols[:, b], modes)) ** 2).sum())
+        for b, modes in enumerate(lattice.sublattices)
+    ]
+    bound = None if depth is None else leakage_bound(lattice.dim, lattice.edge, depth)
+    return LeakageReport(per_source_eta=tuple(etas), eta_max=max(etas), bound=bound)
+
+
+@dataclass(frozen=True)
+class WalkProfile:
+    """Source-column weight profile, measured and predicted, per depth.
+
+    Arrays are shaped ``(depth + 1, n_modes)``; row t is the profile
+    after t layers.  ``theory`` iterates the exact one-gate averaging
+    map (each gate replaces both sites' mean weights by their average),
+    which is the lattice random walk the gate statistics induce.
+    """
+
+    empirical: np.ndarray
+    stderr: np.ndarray
+    theory: np.ndarray
+    source: int
+
+
+def random_walk_profile(
+    lattice: LatticeSpec,
+    depth: int,
+    n_trials: int,
+    rng: np.random.Generator,
+) -> WalkProfile:
+    """Monte-Carlo mean of ``|U_{j,s}|^2`` against the averaging-map law,
+    on the lattice's mode grid; the walk starts at source 0 of the
+    lattice (the centre of its first cube)."""
+    if n_trials < 2:
+        raise ValueError("n_trials must be >= 2 (stderr needs two trials)")
+    grid_shape, n_modes = lattice.grid_shape, lattice.n_modes
+    source = int(lattice.sources[0])
+    amps = np.zeros((n_trials, n_modes), dtype=complex)
+    amps[:, source] = 1.0
+    empirical = np.zeros((depth + 1, n_modes))
+    stderr = np.zeros((depth + 1, n_modes))
+    theory = np.zeros((depth + 1, n_modes))
+    empirical[0, source] = 1.0
+    theory[0, source] = 1.0
+    profile = theory[0].copy()
+    for layer in range(depth):
+        pairs = brickwork_pairs(grid_shape, layer)
+        if pairs.shape[0]:
+            i, j = pairs[:, 0], pairs[:, 1]
+            theta = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
+            phi = rng.uniform(0.0, 2.0 * math.pi, (n_trials, pairs.shape[0]))
+            c, es, fs = _gate_coefficients(theta, phi)
+            _mix_rows(amps.T, i, j, c.T, es.T, fs.T)
+            profile[i] = profile[j] = 0.5 * (profile[i] + profile[j])
+        w = np.abs(amps) ** 2
+        empirical[layer + 1] = w.mean(axis=0)
+        stderr[layer + 1] = w.std(axis=0, ddof=1) / math.sqrt(n_trials)
+        theory[layer + 1] = profile
+    return WalkProfile(
+        empirical=empirical, stderr=stderr, theory=theory, source=source
+    )

@@ -27,9 +27,8 @@ from blsampler.cli import (
     main,
     validate,
 )
-from blsampler.diagnostics import leakage_bound
 from blsampler.errors import ConditioningError, SizeCapError
-from blsampler.lattice import build_lattice, sample_random_circuit, source_columns
+from blsampler.lattice import build_lattice, leakage_bound, sample_random_circuit, source_columns
 from blsampler.samplers import (
     BlockApproxSampler,
     DistinguishableFockSampler,
@@ -365,6 +364,27 @@ def test_fock_sampler_conserves_photons(tmp_path):
             "8c96cc6c22ef03c94c82405046cbbf9b909a6870b68b2a5a635ea9d243139763",
             id="diagnose-leakage-3d",
         ),
+        # pinned before the leakage and walk reports moved into the lattice
+        # module: the walk in 1d past its light cone and in 3d, and leakage
+        # on the approx-large lattice
+        pytest.param(
+            "--mode diagnose-walk --dim 1 --sublattice-edge 64 --depth 64 "
+            "--samples 50 --seed 31",
+            "402883951826cf89becf68a150c2ca0ca571c0a2ac22aa5ae3b8364fc3cb4ceb",
+            id="diagnose-walk-1d",
+        ),
+        pytest.param(
+            "--mode diagnose-walk --dim 3 --sources 2 --sublattice-edge 3 "
+            "--depth 9 --samples 20 --seed 31",
+            "725deb0928b1ec977e3e3ed1ae50e207387ec2bedccd07b519dcf374bb7ffaf8",
+            id="diagnose-walk-3d",
+        ),
+        pytest.param(
+            "--mode diagnose-leakage --dim 1 --sources 8 --sublattice-edge 64 "
+            "--depth 64 --samples 5 --seed 31",
+            "d9572ca7e5bf4bf03094be6898325d497a13979e300bd44831241a848fc4f8c6",
+            id="diagnose-leakage-large",
+        ),
     ],
 )
 def test_sampler_artifact_bytes_are_pinned(tmp_path, args, digest):
@@ -484,7 +504,7 @@ def test_artifact_past_one_chunk_equals_the_default_rng_reference(tmp_path, mode
 
 # the call that starts each mode's work once validate has passed
 _FIRST_WORK = {"sample-approx": "blsampler.cli.BlockApproxSampler",
-               "diagnose-leakage": "blsampler.diagnostics.leakage_rate",
+               "diagnose-leakage": "blsampler.cli.leakage_rate",
                "diagnose-bounds": "blsampler.diagnostics.theorem_bound_report"}
 
 
@@ -827,6 +847,18 @@ def test_size_cap_refuses_deep_circuits_in_validate(depth):
     for dim, sources, edge, depth in [(1, 2, 512, 6865), (2, 2, 128, 863)]:
         args.dim, args.sources, args.edge, args.depth = dim, sources, edge, depth
         assert validate(args)[1] == []
+
+
+def test_huge_dim_is_refused_at_once(tmp_path, capsys):
+    # an edge of 1 passes every size cap, so the lattice itself refuses the
+    # dimension before it factors the sources over a billion axes
+    start = time.perf_counter()
+    code = main(["--mode", "diagnose-leakage", "--dim", str(10**9), "--sources", "1",
+                 "--sublattice-edge", "1", "--depth", "1", "--samples", "1",
+                 "--out", str(tmp_path / "leak.csv")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert _stderr_json(capsys)["problems"] == [f"dim must be <= 32, got {10**9}"]
 
 
 def _cli_process(*args):

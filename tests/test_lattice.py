@@ -139,6 +139,22 @@ def test_brickwork_tiny_grid_has_empty_odd_layer():
     assert brickwork_pairs((2,), 1).tolist() == [[0, 1]]
 
 
+def test_layer_schedules_are_kept_for_the_last_grid_only():
+    # a sweep over lattices holds one grid's schedules, not every grid's:
+    # each 2^16-mode grid's two schedules take 1 MiB
+    held = []
+    tracemalloc.start()
+    try:
+        for n_modes in (2**16, 2**16 + 2, 2**16 + 4):
+            circ = sample_random_circuit(build_lattice(1, 1, n_modes), 2,
+                                         np.random.default_rng(0))
+            del circ
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(held) - min(held) < 2**18, [h / 2**20 for h in held]
+
+
 # ---------------------------------------------------------------- circuits
 
 

@@ -86,13 +86,17 @@ def _loaded(*argv):
     return set(proc.stdout.split())
 
 
+# the leakage and walk reports live in lattice, so those CSV modes load what
+# the fast samplers load, and csv
 @pytest.mark.parametrize("mode, unloaded", [("sample-approx", _FAST_ONLY),
                                             ("sample-fock", _FAST_ONLY),
-                                            ("sample-exact", {"blsampler.diagnostics"})])
+                                            ("sample-exact", {"blsampler.diagnostics"}),
+                                            ("diagnose-leakage", _FAST_ONLY - {"csv"}),
+                                            ("diagnose-walk", _FAST_ONLY - {"csv"})])
 def test_each_sampling_mode_loads_only_what_it_runs(tmp_path, mode, unloaded):
     argv = ["--mode", mode, "--dim", "1", "--sources", "2", "--sublattice-edge", "2",
             "--depth", "2", "--samples", "3", "--seed", "1", "--out", str(tmp_path / "s")]
-    if mode != "sample-fock":
+    if mode in ("sample-approx", "sample-exact"):
         argv += ["--squeezing", "0.5"]
     loaded = _loaded(*argv)
     assert {"blsampler.lattice", "blsampler.samplers"} <= loaded
@@ -185,7 +189,7 @@ def test_every_src_function_is_reached_or_named(tmp_path, monkeypatch):
     monkeypatch.delenv("BLS_LOG", raising=False)
     # the process-wide caches start empty, so the code that fills them runs
     monkeypatch.setattr(_moments, "_TABLES", {})
-    lattice._layer_pairs.cache_clear()
+    lattice._grid_schedules.cache_clear()
     calls = set()
 
     def record(frame, event, arg):
